@@ -8,7 +8,9 @@
 
 #include "common/logging.h"
 #include "common/statistics.h"
+#include "common/strings.h"
 #include "obs/metrics.h"
+#include "staticanalysis/cfg_matcher.h"
 
 namespace pstorm::core {
 
@@ -24,6 +26,58 @@ void RecordScan(const hstore::ScanStats& s, obs::StoreOpsTrace* t) {
   if (s.regions_recovered_empty > t->regions_recovered_empty) {
     t->regions_recovered_empty = s.regions_recovered_empty;
   }
+}
+
+void RecordEntryGet(bool cache_hit, obs::StoreOpsTrace* t) {
+  if (t == nullptr) return;
+  ++t->entry_gets;
+  ++(cache_hit ? t->entry_cache_hits : t->entry_cache_misses);
+}
+
+using EntryRef = std::shared_ptr<const StoredEntry>;
+
+/// Decodes each stage-1 survivor once for the in-memory stages 2-3,
+/// keeping the key order stage 1 returns (the index, the region scan and
+/// ListJobKeys all return sorted unique keys). A survivor deleted since
+/// stage 1 is skipped; one whose rows fail to decode drops out of the
+/// funnel and is counted instead of failing the match (DESIGN.md §5).
+Result<std::vector<EntryRef>> FetchSurvivors(
+    const ProfileStore& store, const std::vector<std::string>& keys,
+    obs::StoreOpsTrace* t) {
+  static obs::Counter& corrupt = obs::MetricsRegistry::Global().GetCounter(
+      "pstorm_matcher_corrupt_candidates_total");
+  std::vector<EntryRef> out;
+  out.reserve(keys.size());
+  for (const std::string& key : keys) {
+    bool cache_hit = false;
+    auto entry = store.GetEntryRef(key, &cache_hit);
+    RecordEntryGet(cache_hit, t);
+    if (entry.ok()) {
+      out.push_back(std::move(entry).value());
+    } else if (entry.status().IsCorruption()) {
+      corrupt.Increment();
+    } else if (!entry.status().IsNotFound()) {
+      return entry.status();
+    }
+  }
+  return out;
+}
+
+/// The entries of `in` that pass `pred`, in order.
+template <typename Pred>
+std::vector<EntryRef> Keep(const std::vector<EntryRef>& in, Pred pred) {
+  std::vector<EntryRef> out;
+  for (const EntryRef& e : in) {
+    if (pred(*e)) out.push_back(e);
+  }
+  return out;
+}
+
+std::vector<std::string> KeysOf(const std::vector<EntryRef>& entries) {
+  std::vector<std::string> keys;
+  keys.reserve(entries.size());
+  for (const EntryRef& e : entries) keys.push_back(e->job_key);
+  return keys;
 }
 
 void RecordStage(obs::SideTrace* t, const char* name, uint64_t in,
@@ -80,6 +134,36 @@ struct SideOutcomeOnExit {
 };
 
 }  // namespace
+
+bool CfgStagePasses(Side side, const staticanalysis::Cfg& probe,
+                    const StoredEntry& entry) {
+  return staticanalysis::MatchCfgs(
+      probe, side == Side::kMap ? entry.statics.map_cfg
+                                : entry.statics.reduce_cfg);
+}
+
+bool CallSetStagePasses(Side side, const std::string& probe_calls,
+                        const StoredEntry& entry) {
+  // Joined, because the row filter compares the column's joined text.
+  return side == Side::kMap
+             ? entry.has_map_calls &&
+                   StrJoin(entry.statics.map_calls, ",") == probe_calls
+             : entry.has_reduce_calls &&
+                   StrJoin(entry.statics.reduce_calls, ",") == probe_calls;
+}
+
+bool JaccardStagePasses(Side side, const std::vector<std::string>& probe,
+                        double theta, bool include_user_params,
+                        const StoredEntry& entry) {
+  std::vector<std::string> stored = side == Side::kMap
+                                        ? entry.statics.MapCategorical()
+                                        : entry.statics.ReduceCategorical();
+  if (include_user_params) {
+    if (!entry.has_user_params) return false;
+    stored.push_back(entry.statics.user_params);
+  }
+  return PositionalJaccard(stored, probe) >= theta;
+}
 
 MultiStageMatcher::MultiStageMatcher(const ProfileStore* store,
                                      MatchOptions options)
@@ -164,11 +248,7 @@ Result<std::string> MultiStageMatcher::TieBreak(
   for (const std::string& key : candidates) {
     bool cache_hit = false;
     auto entry_or = store_->GetEntryRef(key, &cache_hit);
-    if (store_trace != nullptr) {
-      ++store_trace->entry_gets;
-      ++(cache_hit ? store_trace->entry_cache_hits
-                   : store_trace->entry_cache_misses);
-    }
+    RecordEntryGet(cache_hit, store_trace);
     if (entry_or.status().IsNotFound()) {
       // A concurrent DeleteProfile removed this candidate between the
       // scan that produced it and now; score the survivors.
@@ -256,65 +336,41 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
 
   SideMatch result;
   SideOutcomeOnExit outcome_guard{&result, side_trace};
-  hstore::ScanStats sstats;
 
   // Categorical probe, with the §7.2.1 user-parameter extension appended
   // when enabled (the stored side gains the matching column).
+  const bool with_params =
+      options_.include_user_parameters || options_.static_only;
   std::vector<std::string> categorical_probe = categorical;
-  if (options_.include_user_parameters || options_.static_only) {
-    categorical_probe.push_back(probe.user_params);
-  }
-  const std::vector<std::string>& calls =
-      side == Side::kMap ? probe.map_calls : probe.reduce_calls;
+  if (with_params) categorical_probe.push_back(probe.user_params);
+  const std::string probe_calls = StrJoin(
+      side == Side::kMap ? probe.map_calls : probe.reduce_calls, ",");
 
+  // Picks the winner among `survivors` and records how the side matched.
+  auto finish = [&](const std::vector<std::string>& survivors,
+                    const std::vector<std::string>& tie_categorical,
+                    const std::vector<double>& tie_dynamic,
+                    MatchPath path) -> Result<SideMatch> {
+    PSTORM_ASSIGN_OR_RETURN(
+        result.job_key,
+        TieBreak(side, survivors, tie_categorical, tie_dynamic,
+                 probe.input_data_bytes, side_trace, store_trace));
+    if (!result.job_key.empty()) result.path = path;
+    return result;
+  };
+
+  const double theta = ThetaEuclidean(dynamic.size());
   std::vector<std::string> candidates;
-  if (options_.static_only) {
-    // §7.2.1: static features (with user parameters) suffice; no sample,
-    // no dynamic filter, no cost fallback.
+  if (options_.static_only || options_.static_filters_first) {
+    // §7.2.1 static-only mode (no sample, no dynamic filter, no cost
+    // fallback) and the static-first ablation both start from everything.
     PSTORM_ASSIGN_OR_RETURN(candidates, store_->ListJobKeys());
     result.after_dynamic = candidates.size();
     RecordStage(side_trace, "list_all", candidates.size(), candidates.size(),
-                "static-only mode");
-    if (candidates.empty()) return result;
-    const size_t cfg_in = candidates.size();
-    PSTORM_ASSIGN_OR_RETURN(
-        std::vector<std::string> cfg_pass,
-        store_->CfgMatchScan(side, cfg, candidates, &sstats));
-    RecordScan(sstats, store_trace);
-    result.after_cfg = cfg_pass.size();
-    RecordStage(side_trace, "cfg", cfg_in, cfg_pass.size());
-    if (options_.use_call_graph && !cfg_pass.empty()) {
-      const size_t calls_in = cfg_pass.size();
-      PSTORM_ASSIGN_OR_RETURN(
-          cfg_pass, store_->CallSetScan(side, calls, cfg_pass, &sstats));
-      RecordScan(sstats, store_trace);
-      RecordStage(side_trace, "call_set", calls_in, cfg_pass.size());
-    }
-    std::vector<std::string> jaccard_pass;
-    if (!cfg_pass.empty()) {
-      PSTORM_ASSIGN_OR_RETURN(
-          jaccard_pass,
-          store_->JaccardScan(side, categorical_probe,
-                              options_.theta_jaccard, cfg_pass, &sstats,
-                              /*include_user_params=*/true));
-      RecordScan(sstats, store_trace);
-    }
-    result.after_jaccard = jaccard_pass.size();
-    RecordStage(side_trace, "jaccard", cfg_pass.size(), jaccard_pass.size(),
-                ThetaDetail(options_.theta_jaccard));
-    if (jaccard_pass.empty()) return result;
-    PSTORM_ASSIGN_OR_RETURN(
-        result.job_key,
-        TieBreak(side, jaccard_pass, categorical_probe, {},
-                 probe.input_data_bytes, side_trace, store_trace));
-    if (result.job_key.empty()) return result;
-    result.path = MatchPath::kFullPath;
-    return result;
-  }
-
-  if (!options_.static_filters_first) {
+                options_.static_only ? "static-only mode"
+                                     : "static-filters-first ablation");
+  } else {
     // ---- Stage 1: dynamic features (Figure 4.4 order). ----
-    const double theta = ThetaEuclidean(dynamic.size());
     bool used_index = false;
     PSTORM_ASSIGN_OR_RETURN(
         candidates, EuclideanCandidates(side, /*cost_space=*/false, dynamic,
@@ -323,56 +379,49 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
     RecordStage(side_trace, "dynamic", store_->num_profiles(),
                 candidates.size(),
                 ThetaDetail(theta) + (used_index ? " indexed" : ""));
-    // An empty set after the *first* filter is a hard failure: nothing in
-    // the store behaves like this job.
-    if (candidates.empty()) return result;
-  } else {
-    // Ablation: start from everything; the static filters run first.
-    PSTORM_ASSIGN_OR_RETURN(candidates, store_->ListJobKeys());
-    result.after_dynamic = candidates.size();
-    RecordStage(side_trace, "list_all", candidates.size(), candidates.size(),
-                "static-filters-first ablation");
-    if (candidates.empty()) return result;
   }
+  // An empty set after the *first* filter is a hard failure: nothing in
+  // the store behaves like this job.
+  if (candidates.empty()) return result;
 
-  const std::vector<std::string> dynamic_survivors = candidates;
+  PSTORM_ASSIGN_OR_RETURN(const std::vector<EntryRef> survivors,
+                          FetchSurvivors(*store_, candidates, store_trace));
 
   // ---- Stage 2: conservative CFG match. ----
-  PSTORM_ASSIGN_OR_RETURN(
-      std::vector<std::string> after_cfg,
-      store_->CfgMatchScan(side, cfg, candidates, &sstats));
-  RecordScan(sstats, store_trace);
-  result.after_cfg = after_cfg.size();
-  RecordStage(side_trace, "cfg", candidates.size(), after_cfg.size());
+  std::vector<EntryRef> passed = Keep(survivors, [&](const StoredEntry& e) {
+    return CfgStagePasses(side, cfg, e);
+  });
+  result.after_cfg = passed.size();
+  RecordStage(side_trace, "cfg", candidates.size(), passed.size());
 
   // ---- Stage 2.5 (§7.2.2 extension): conservative call-set match. ----
-  if (options_.use_call_graph && !after_cfg.empty()) {
-    const size_t calls_in = after_cfg.size();
-    PSTORM_ASSIGN_OR_RETURN(
-        after_cfg, store_->CallSetScan(side, calls, after_cfg, &sstats));
-    RecordScan(sstats, store_trace);
-    RecordStage(side_trace, "call_set", calls_in, after_cfg.size());
+  if (options_.use_call_graph && !passed.empty()) {
+    const size_t calls_in = passed.size();
+    passed = Keep(passed, [&](const StoredEntry& e) {
+      return CallSetStagePasses(side, probe_calls, e);
+    });
+    RecordStage(side_trace, "call_set", calls_in, passed.size());
   }
 
   // ---- Stage 3: Jaccard over categorical features. ----
-  std::vector<std::string> after_jaccard;
-  if (!after_cfg.empty()) {
-    PSTORM_ASSIGN_OR_RETURN(
-        after_jaccard,
-        store_->JaccardScan(side, categorical_probe, options_.theta_jaccard,
-                            after_cfg, &sstats,
-                            options_.include_user_parameters));
-    RecordScan(sstats, store_trace);
-  }
-  result.after_jaccard = after_jaccard.size();
-  RecordStage(side_trace, "jaccard", after_cfg.size(), after_jaccard.size(),
+  const size_t jaccard_in = passed.size();
+  passed = Keep(passed, [&](const StoredEntry& e) {
+    return JaccardStagePasses(side, categorical_probe, options_.theta_jaccard,
+                              with_params, e);
+  });
+  result.after_jaccard = passed.size();
+  RecordStage(side_trace, "jaccard", jaccard_in, passed.size(),
               ThetaDetail(options_.theta_jaccard));
+  const std::vector<std::string> after_jaccard = KeysOf(passed);
+
+  if (options_.static_only) {
+    if (after_jaccard.empty()) return result;
+    return finish(after_jaccard, categorical_probe, {}, MatchPath::kFullPath);
+  }
 
   if (options_.static_filters_first) {
     // Ablation order: dynamic filter runs last, over the static survivors.
     if (after_jaccard.empty()) return result;
-    std::vector<std::string> final_set;
-    const double theta = ThetaEuclidean(dynamic.size());
     bool used_index = false;
     PSTORM_ASSIGN_OR_RETURN(
         std::vector<std::string> dynamic_pass,
@@ -380,29 +429,20 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
                             store_trace, &used_index));
     const std::unordered_set<std::string> dynamic_pass_set(
         dynamic_pass.begin(), dynamic_pass.end());
+    std::vector<std::string> final_set;
     for (const std::string& key : after_jaccard) {
       if (dynamic_pass_set.count(key) > 0) final_set.push_back(key);
     }
     RecordStage(side_trace, "dynamic", after_jaccard.size(),
                 final_set.size(), ThetaDetail(theta));
     if (final_set.empty()) return result;
-    PSTORM_ASSIGN_OR_RETURN(
-        result.job_key,
-        TieBreak(side, final_set, categorical_probe, dynamic,
-                 probe.input_data_bytes, side_trace, store_trace));
-    if (result.job_key.empty()) return result;
-    result.path = MatchPath::kFullPath;
-    return result;
+    return finish(final_set, categorical_probe, dynamic,
+                  MatchPath::kFullPath);
   }
 
   if (!after_jaccard.empty()) {
-    PSTORM_ASSIGN_OR_RETURN(
-        result.job_key,
-        TieBreak(side, after_jaccard, categorical_probe, dynamic,
-                 probe.input_data_bytes, side_trace, store_trace));
-    if (result.job_key.empty()) return result;
-    result.path = MatchPath::kFullPath;
-    return result;
+    return finish(after_jaccard, categorical_probe, dynamic,
+                  MatchPath::kFullPath);
   }
 
   // The static filters emptied the set: the job was never executed here.
@@ -415,26 +455,20 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
       std::vector<std::string> fallback,
       EuclideanCandidates(side, /*cost_space=*/true, costs, cost_theta,
                           store_trace, &used_cost_index));
-  // Intersect with the dynamic survivors: the fallback refines C', it
-  // does not resurrect profiles the dynamic filter rejected.
-  const std::unordered_set<std::string> survivor_set(
-      dynamic_survivors.begin(), dynamic_survivors.end());
+  // Intersect with the decoded dynamic survivors: the fallback refines
+  // C', it does not resurrect profiles the dynamic filter rejected.
+  std::unordered_set<std::string> survivor_set;
+  for (const EntryRef& e : survivors) survivor_set.insert(e->job_key);
   std::vector<std::string> refined;
   for (const std::string& key : fallback) {
     if (survivor_set.count(key) > 0) refined.push_back(key);
   }
-  RecordStage(side_trace, "cost_factor_fallback", dynamic_survivors.size(),
+  RecordStage(side_trace, "cost_factor_fallback", candidates.size(),
               refined.size(), ThetaDetail(cost_theta));
   if (refined.empty()) return result;
   // Fallback tie-break: static features already failed, so only input
   // size and dynamic closeness apply.
-  PSTORM_ASSIGN_OR_RETURN(
-      result.job_key,
-      TieBreak(side, refined, {}, dynamic, probe.input_data_bytes,
-               side_trace, store_trace));
-  if (result.job_key.empty()) return result;
-  result.path = MatchPath::kCostFactorFallback;
-  return result;
+  return finish(refined, {}, dynamic, MatchPath::kCostFactorFallback);
 }
 
 Result<MatchResult> MultiStageMatcher::Match(
@@ -451,11 +485,7 @@ Result<MatchResult> MultiStageMatcher::Match(
   auto get_entry_traced = [&](const std::string& key) {
     bool cache_hit = false;
     auto entry_or = store_->GetEntryRef(key, &cache_hit);
-    if (store_trace != nullptr) {
-      ++store_trace->entry_gets;
-      ++(cache_hit ? store_trace->entry_cache_hits
-                   : store_trace->entry_cache_misses);
-    }
+    RecordEntryGet(cache_hit, store_trace);
     return entry_or;
   };
 

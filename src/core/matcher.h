@@ -2,6 +2,7 @@
 #define PSTORM_CORE_MATCHER_H_
 
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "core/feature_vector.h"
@@ -66,6 +67,8 @@ struct SideMatch {
   size_t after_dynamic = 0;
   size_t after_cfg = 0;
   size_t after_jaccard = 0;
+
+  friend bool operator==(const SideMatch&, const SideMatch&) = default;
 };
 
 /// Outcome of a full match: a (possibly composite) profile for the CBO.
@@ -80,6 +83,22 @@ struct MatchResult {
   SideMatch reduce_side;
 };
 
+/// Stages 2, 2.5 and 3 of Figure 4.4 as predicates over one decoded
+/// stored entry. Each gives the answer the row filter behind
+/// ProfileStore::CfgMatchScan / CallSetScan / JaccardScan gives for the
+/// entry's Static row; tests/core/matcher_funnel_test.cc holds them to it.
+bool CfgStagePasses(Side side, const staticanalysis::Cfg& probe,
+                    const StoredEntry& entry);
+/// `probe_calls` is the probe's call set joined with ',', the form the
+/// store writes.
+bool CallSetStagePasses(Side side, const std::string& probe_calls,
+                        const StoredEntry& entry);
+/// With `include_user_params`, `probe` carries the user-parameter string
+/// as its last element.
+bool JaccardStagePasses(Side side, const std::vector<std::string>& probe,
+                        double theta, bool include_user_params,
+                        const StoredEntry& entry);
+
 /// The PStorM profile matcher (thesis chapter 4): a domain-specific
 /// multi-stage workflow, applied once for the map side and once for the
 /// reduce side, that filters the stored profiles by (1) normalized
@@ -88,6 +107,12 @@ struct MatchResult {
 /// categorical features, breaking ties by closest input data size; when
 /// the static filters empty the candidate set (a previously unseen job),
 /// it falls back to a Euclidean filter over the Table 4.2 cost factors.
+///
+/// Stage 1 runs in the store (match index or region scan). Each stage-1
+/// survivor is then decoded once through ProfileStore::GetEntryRef, and
+/// stages 2-3 run on those entries in sorted-key order. A survivor whose
+/// rows fail to decode drops out of the funnel and is counted in
+/// pstorm_matcher_corrupt_candidates_total; it never fails the match.
 class MultiStageMatcher {
  public:
   /// `store` must outlive the matcher.

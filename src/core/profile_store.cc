@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <set>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/statistics.h"
@@ -24,6 +24,13 @@ obs::Counter& EntryCacheMisses() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
       "pstorm_store_entry_cache_misses_total");
   return c;
+}
+/// Decoded entries cached across every open store (the cache has no
+/// capacity yet, so this is its footprint).
+obs::Gauge& EntryCacheEntries() {
+  static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
+      "pstorm_store_entry_cache_entries");
+  return g;
 }
 
 constexpr char kFamily[] = "F";
@@ -150,27 +157,6 @@ class JaccardFilter final : public hstore::RowFilter {
   double theta_;
 };
 
-/// Restricts a scan to rows "<prefix><key>" with key in a fixed set (used
-/// to chain filter stages).
-class KeySetFilter final : public hstore::RowFilter {
- public:
-  KeySetFilter(std::string prefix, const std::vector<std::string>& keys)
-      : prefix_(std::move(prefix)), keys_(keys.begin(), keys.end()) {}
-
-  bool Matches(const hstore::RowResult& row) const override {
-    if (!StartsWith(row.row(), prefix_)) return false;
-    return keys_.count(row.row().substr(prefix_.size())) > 0;
-  }
-
-  std::string Describe() const override {
-    return "key-in-set(" + std::to_string(keys_.size()) + ")";
-  }
-
- private:
-  std::string prefix_;
-  std::set<std::string> keys_;
-};
-
 std::vector<std::string> KeysFromRows(
     const std::vector<hstore::RowResult>& rows, const std::string& prefix) {
   std::vector<std::string> keys;
@@ -179,6 +165,34 @@ std::vector<std::string> KeysFromRows(
     keys.push_back(row.row().substr(prefix.size()));
   }
   return keys;
+}
+
+/// A scan of exactly the rows under `prefix`: [prefix, prefix with its last
+/// byte incremented). Every prefix here ends in '/', so the increment
+/// never carries.
+hstore::ScanSpec PrefixRange(const std::string& prefix) {
+  hstore::ScanSpec spec;
+  spec.start_row = prefix;
+  spec.stop_row = prefix;
+  ++spec.stop_row.back();
+  return spec;
+}
+
+/// The keys of `candidates` whose Static row passes `filter`, in key
+/// order: the row-filter oracle of the matcher's stages 2-3.
+Result<std::vector<std::string>> StaticScan(
+    const hstore::HTable& table, const std::vector<std::string>& candidates,
+    std::shared_ptr<const hstore::RowFilter> filter) {
+  hstore::ScanSpec spec = PrefixRange(kStaticPrefix);
+  spec.filter = std::move(filter);
+  PSTORM_ASSIGN_OR_RETURN(auto rows, table.Scan(spec));
+  const std::unordered_set<std::string> wanted(candidates.begin(),
+                                               candidates.end());
+  std::vector<std::string> out;
+  for (std::string& key : KeysFromRows(rows, kStaticPrefix)) {
+    if (wanted.count(key) > 0) out.push_back(std::move(key));
+  }
+  return out;
 }
 
 }  // namespace
@@ -244,6 +258,10 @@ ProfileStore::ProfileStore(std::unique_ptr<hstore::HTable> table,
   index_ = std::make_unique<MatchIndex>(spec, index_options);
 }
 
+ProfileStore::~ProfileStore() {
+  EntryCacheEntries().Add(-static_cast<int64_t>(entry_cache_size()));
+}
+
 Result<std::unique_ptr<ProfileStore>> ProfileStore::Open(
     storage::Env* env, std::string path, ProfileStoreOptions options) {
   hstore::TableSchema schema;
@@ -306,9 +324,8 @@ Status ProfileStore::RebuildMatchIndex() {
     return Status::FailedPrecondition("match index disabled");
   }
   std::lock_guard<std::mutex> write_lock(write_mu_);
-  hstore::ScanSpec spec;
-  spec.filter = std::make_shared<hstore::PrefixFilter>(kDynamicPrefix);
-  PSTORM_ASSIGN_OR_RETURN(auto rows, table_->Scan(spec));
+  PSTORM_ASSIGN_OR_RETURN(auto rows,
+                          table_->Scan(PrefixRange(kDynamicPrefix)));
   std::unique_lock<std::shared_mutex> index_lock(index_mu_);
   index_->Clear();
   for (const hstore::RowResult& row : rows) {
@@ -343,9 +360,8 @@ Status ProfileStore::RebuildMatchIndex() {
 }
 
 Status ProfileStore::RecountProfiles() {
-  hstore::ScanSpec spec;
-  spec.filter = std::make_shared<hstore::PrefixFilter>(kPayloadPrefix);
-  PSTORM_ASSIGN_OR_RETURN(auto rows, table_->Scan(spec));
+  PSTORM_ASSIGN_OR_RETURN(auto rows,
+                          table_->Scan(PrefixRange(kPayloadPrefix)));
   num_profiles_ = rows.size();
   profile_keys_.clear();
   profile_keys_.reserve(rows.size());
@@ -359,6 +375,13 @@ Status ProfileStore::RecountProfiles() {
 ProfileStore::CacheShard& ProfileStore::ShardFor(
     const std::string& job_key) const {
   return entry_cache_[std::hash<std::string>{}(job_key) % kCacheShards];
+}
+
+void ProfileStore::InvalidateEntry(const std::string& job_key) {
+  CacheShard& shard = ShardFor(job_key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  EntryCacheEntries().Add(-static_cast<int64_t>(shard.map.erase(job_key)));
+  ++shard.epoch;
 }
 
 void ProfileStore::WidenLocked(const std::string& feature, double value) {
@@ -414,12 +437,7 @@ Status ProfileStore::PutProfile(
   }
   std::lock_guard<std::mutex> write_lock(write_mu_);
   // Cache rule: a put invalidates exactly the decoded entry it replaces.
-  {
-    CacheShard& shard = ShardFor(job_key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.erase(job_key);
-    ++shard.epoch;
-  }
+  InvalidateEntry(job_key);
   const bool existed = profile_keys_authoritative_
                            ? profile_keys_.count(job_key) > 0
                            : table_->Get(kPayloadPrefix + job_key).ok();
@@ -517,12 +535,7 @@ Status ProfileStore::PutProfile(
   // Second invalidation, now that the rows are written: a reader that was
   // decoding mid-put may have stitched old and new rows together; the
   // epoch bump keeps that hybrid out of the cache.
-  {
-    CacheShard& shard = ShardFor(job_key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.erase(job_key);
-    ++shard.epoch;
-  }
+  InvalidateEntry(job_key);
   if (!existed) num_profiles_.fetch_add(1, std::memory_order_relaxed);
   profile_keys_.insert(job_key);
   static obs::Counter& puts = obs::MetricsRegistry::Global().GetCounter(
@@ -604,14 +617,16 @@ Result<std::shared_ptr<const StoredEntry>> ProfileStore::GetEntryRef(
   // Extension columns: absent in stores written before §7.2 support.
   if (const std::string* raw = statics.GetValue(kFamily, kUserParamsColumn)) {
     f.user_params = *raw;
+    entry.has_user_params = true;
   }
   auto read_calls = [&](const char* column, std::vector<std::string>* out) {
     const std::string* raw = statics.GetValue(kFamily, column);
-    if (raw == nullptr || raw->empty()) return;
-    *out = StrSplit(*raw, ',');
+    if (raw == nullptr) return false;
+    if (!raw->empty()) *out = StrSplit(*raw, ',');
+    return true;
   };
-  read_calls(kMapCallsColumn, &f.map_calls);
-  read_calls(kRedCallsColumn, &f.reduce_calls);
+  entry.has_map_calls = read_calls(kMapCallsColumn, &f.map_calls);
+  entry.has_reduce_calls = read_calls(kRedCallsColumn, &f.reduce_calls);
 
   auto shared = std::make_shared<const StoredEntry>(std::move(entry));
   {
@@ -619,19 +634,17 @@ Result<std::shared_ptr<const StoredEntry>> ProfileStore::GetEntryRef(
     // Only cache what no mutation invalidated while we were decoding; a
     // racing reader's copy is still correct to *return* (it reflects some
     // point-in-time state) but must not outlive the invalidation.
-    if (shard.epoch == epoch_at_miss) shard.map[job_key] = shared;
+    if (shard.epoch == epoch_at_miss &&
+        shard.map.emplace(job_key, shared).second) {
+      EntryCacheEntries().Add(1);
+    }
   }
   return shared;
 }
 
 Status ProfileStore::DeleteProfile(const std::string& job_key) {
   std::lock_guard<std::mutex> write_lock(write_mu_);
-  {
-    CacheShard& shard = ShardFor(job_key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.erase(job_key);
-    ++shard.epoch;
-  }
+  InvalidateEntry(job_key);
   const bool existed = profile_keys_authoritative_
                            ? profile_keys_.count(job_key) > 0
                            : table_->Get(kPayloadPrefix + job_key).ok();
@@ -649,12 +662,7 @@ Status ProfileStore::DeleteProfile(const std::string& job_key) {
   PSTORM_RETURN_IF_ERROR(table_->DeleteRow(kPayloadPrefix + job_key));
   // Second invalidation (see PutProfile): evict anything a concurrent
   // reader cached from the rows that were just deleted.
-  {
-    CacheShard& shard = ShardFor(job_key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.erase(job_key);
-    ++shard.epoch;
-  }
+  InvalidateEntry(job_key);
   if (existed && num_profiles_.load(std::memory_order_relaxed) > 0) {
     num_profiles_.fetch_sub(1, std::memory_order_relaxed);
   }
@@ -663,9 +671,8 @@ Status ProfileStore::DeleteProfile(const std::string& job_key) {
 }
 
 Result<std::vector<std::string>> ProfileStore::ListJobKeys() const {
-  hstore::ScanSpec spec;
-  spec.filter = std::make_shared<hstore::PrefixFilter>(kPayloadPrefix);
-  PSTORM_ASSIGN_OR_RETURN(auto rows, table_->Scan(spec));
+  PSTORM_ASSIGN_OR_RETURN(auto rows,
+                          table_->Scan(PrefixRange(kPayloadPrefix)));
   return KeysFromRows(rows, kPayloadPrefix);
 }
 
@@ -810,83 +817,35 @@ Result<std::vector<std::string>> ProfileStore::CostEuclideanScan(
   return KeysFromRows(rows, kDynamicPrefix);
 }
 
-Result<std::vector<std::string>> ProfileStore::FilterCandidates(
-    const std::string& prefix, const std::vector<std::string>& candidates,
-    const std::shared_ptr<const hstore::RowFilter>& filter,
-    hstore::ScanStats* stats) const {
-  // Small candidate sets (the common case once the stage-1 index pruned)
-  // take point reads: k Gets cost O(k log n) against the scan's O(n), and
-  // the filters are pure per-row predicates, so evaluating them on the
-  // fetched rows returns exactly what the pushed-down scan would. Large
-  // sets keep the scan — one sequential pass beats a Get per row. The
-  // 8x margin keeps the crossover comfortably on the scan's side of
-  // break-even.
-  if (candidates.size() * 8 >= num_profiles()) {
-    hstore::ScanSpec spec;
-    std::vector<std::shared_ptr<const hstore::RowFilter>> filters = {
-        std::make_shared<KeySetFilter>(prefix, candidates), filter};
-    spec.filter = std::make_shared<hstore::AndFilter>(std::move(filters));
-    PSTORM_ASSIGN_OR_RETURN(auto rows, table_->Scan(spec, stats));
-    return KeysFromRows(rows, prefix);
-  }
-  // Sorted unique keys replay the scan's row order (Scan returns rows in
-  // key order, and every key shares `prefix`).
-  std::vector<std::string> sorted(candidates);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  hstore::ScanStats local;
-  std::vector<std::string> out;
-  for (const std::string& key : sorted) {
-    auto row = table_->Get(prefix + key);
-    if (row.status().IsNotFound()) continue;  // Deleted mid-funnel.
-    PSTORM_RETURN_IF_ERROR(row.status());
-    ++local.rows_scanned;
-    ++local.rows_transferred;
-    local.bytes_transferred += row->PayloadBytes();
-    if (filter->Matches(*row)) {
-      ++local.rows_returned;
-      out.push_back(key);
-    }
-  }
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
 Result<std::vector<std::string>> ProfileStore::CfgMatchScan(
     Side side, const staticanalysis::Cfg& probe_cfg,
-    const std::vector<std::string>& candidates,
-    hstore::ScanStats* stats) const {
-  return FilterCandidates(
-      kStaticPrefix, candidates,
+    const std::vector<std::string>& candidates) const {
+  return StaticScan(
+      *table_, candidates,
       std::make_shared<CfgFilter>(
-          side == Side::kMap ? kMapCfgColumn : kRedCfgColumn, probe_cfg),
-      stats);
+          side == Side::kMap ? kMapCfgColumn : kRedCfgColumn, probe_cfg));
 }
 
 Result<std::vector<std::string>> ProfileStore::JaccardScan(
     Side side, const std::vector<std::string>& probe, double theta,
-    const std::vector<std::string>& candidates, hstore::ScanStats* stats,
+    const std::vector<std::string>& candidates,
     bool include_user_params) const {
   std::vector<std::string> columns = StaticColumnNames(side);
   if (include_user_params) columns.push_back(kUserParamsColumn);
-  return FilterCandidates(
-      kStaticPrefix, candidates,
-      std::make_shared<JaccardFilter>(std::move(columns), probe, theta),
-      stats);
+  return StaticScan(
+      *table_, candidates,
+      std::make_shared<JaccardFilter>(std::move(columns), probe, theta));
 }
 
 Result<std::vector<std::string>> ProfileStore::CallSetScan(
     Side side, const std::vector<std::string>& probe_calls,
-    const std::vector<std::string>& candidates,
-    hstore::ScanStats* stats) const {
+    const std::vector<std::string>& candidates) const {
   const char* column =
       side == Side::kMap ? kMapCallsColumn : kRedCallsColumn;
-  return FilterCandidates(
-      kStaticPrefix, candidates,
-      std::make_shared<hstore::ColumnValueFilter>(
-          kFamily, column, hstore::CompareOp::kEqual,
-          StrJoin(probe_calls, ",")),
-      stats);
+  return StaticScan(*table_, candidates,
+                    std::make_shared<hstore::ColumnValueFilter>(
+                        kFamily, column, hstore::CompareOp::kEqual,
+                        StrJoin(probe_calls, ",")));
 }
 
 Result<double> ProfileStore::InputDataBytes(const std::string& job_key) const {

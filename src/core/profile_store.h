@@ -30,6 +30,13 @@ struct StoredEntry {
   std::string job_key;
   profiler::ExecutionProfile profile;
   staticanalysis::StaticFeatures statics;
+  /// Whether the Static row carries each §7.2 extension column. Rows
+  /// written before that support lack them; `statics` then reads them as
+  /// empty, and the matcher's call-set and user-parameter stages reject
+  /// the entry, as the row filters reject the row.
+  bool has_user_params = false;
+  bool has_map_calls = false;
+  bool has_reduce_calls = false;
 };
 
 /// Min/max observed per feature, maintained incrementally as profiles are
@@ -105,6 +112,8 @@ class ProfileStore {
   static Result<std::unique_ptr<ProfileStore>> Open(
       storage::Env* env, std::string path, ProfileStoreOptions options = {});
 
+  ~ProfileStore();
+
   /// Quiesces the backing table's background maintenance (no-op without a
   /// maintenance pool); returns the first latched background error.
   Status WaitForIdle() const { return table_->WaitForIdle(); }
@@ -119,8 +128,9 @@ class ProfileStore {
   Result<StoredEntry> GetEntry(const std::string& job_key) const;
 
   /// Like GetEntry but shares the store's decoded-entry cache: repeated
-  /// probes of the same rows (matcher tie-breaks, composite stitches)
-  /// skip re-deserializing the payload blob and re-parsing both CFGs.
+  /// probes of the same rows (the matcher's stages 2-3 and tie-break,
+  /// composite stitches) skip re-deserializing the payload blob and
+  /// re-parsing both CFGs.
   /// The returned entry is immutable and stays valid after invalidation.
   /// Cache rule: an entry is invalidated by the PutProfile or
   /// DeleteProfile of its own job key, and by nothing else.
@@ -129,7 +139,9 @@ class ProfileStore {
   Result<std::shared_ptr<const StoredEntry>> GetEntryRef(
       const std::string& job_key, bool* cache_hit = nullptr) const;
 
-  /// Decoded entries currently cached (tests/diagnostics).
+  /// Decoded entries currently cached (tests/diagnostics). The
+  /// pstorm_store_entry_cache_entries gauge sums this over every open
+  /// store.
   size_t entry_cache_size() const;
 
   /// Removes a job's rows (idempotent). Bounds are left as-is (they only
@@ -211,22 +223,25 @@ class ProfileStore {
     return table_->Flush();
   }
 
+  // Row-filter forms of the matcher's stages 2-3: one pushed-down scan of
+  // the Static/ rows, restricted to `candidates`, in key order. The
+  // matcher runs these stages on decoded entries instead (DESIGN.md §13);
+  // these scans are its differential oracle in tests.
+
   /// Stage-2 filter: of `candidates`, the job keys whose stored side-CFG
-  /// structurally matches `probe_cfg` (pushed down).
+  /// structurally matches `probe_cfg`.
   Result<std::vector<std::string>> CfgMatchScan(
       Side side, const staticanalysis::Cfg& probe_cfg,
-      const std::vector<std::string>& candidates,
-      hstore::ScanStats* stats = nullptr) const;
+      const std::vector<std::string>& candidates) const;
 
   /// Stage-3 filter: of `candidates`, the job keys whose side categorical
-  /// features have Jaccard index >= `theta` against `probe` (pushed down).
-  /// When `include_user_params` is set, the canonicalized user-parameter
+  /// features have Jaccard index >= `theta` against `probe`. When
+  /// `include_user_params` is set, the canonicalized user-parameter
   /// string joins the categorical vector on both sides (the §7.2.1
   /// extension) — `probe` must then carry it as its last element.
   Result<std::vector<std::string>> JaccardScan(
       Side side, const std::vector<std::string>& probe, double theta,
       const std::vector<std::string>& candidates,
-      hstore::ScanStats* stats = nullptr,
       bool include_user_params = false) const;
 
   /// §7.2.2 call-flow filter: of `candidates`, the job keys whose stored
@@ -234,8 +249,7 @@ class ProfileStore {
   /// CFG filter).
   Result<std::vector<std::string>> CallSetScan(
       Side side, const std::vector<std::string>& probe_calls,
-      const std::vector<std::string>& candidates,
-      hstore::ScanStats* stats = nullptr) const;
+      const std::vector<std::string>& candidates) const;
 
   /// Input data size stored for a job (the tie-break feature).
   Result<double> InputDataBytes(const std::string& job_key) const;
@@ -295,19 +309,12 @@ class ProfileStore {
     std::unordered_map<std::string, std::shared_ptr<const StoredEntry>> map;
   };
   CacheShard& ShardFor(const std::string& job_key) const;
+  /// Drops `job_key`'s decoded entry and advances its shard's epoch.
+  void InvalidateEntry(const std::string& job_key);
 
   /// Requires index_mu_ held exclusively (or the single-threaded open).
   void IndexPutLocked(const std::string& job_key,
                       const profiler::ExecutionProfile& profile);
-
-  /// `filter` applied to the candidate rows under `prefix`: point reads
-  /// when the candidate set is small (sublinear funnel stages after the
-  /// stage-1 index pruned), one pushed-down KeySet scan otherwise. Same
-  /// keys, same (row) order, either way.
-  Result<std::vector<std::string>> FilterCandidates(
-      const std::string& prefix, const std::vector<std::string>& candidates,
-      const std::shared_ptr<const hstore::RowFilter>& filter,
-      hstore::ScanStats* stats) const;
 
   std::unique_ptr<hstore::HTable> table_;
   const ProfileStoreOptions options_;

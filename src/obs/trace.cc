@@ -58,14 +58,12 @@ std::string SubmissionTrace::ToString() const {
   out << "\n";
   if (!cbo.rounds.empty() || cbo.candidates_evaluated > 0) {
     out << "  cbo: evaluated=" << cbo.candidates_evaluated
-        << " map_cache_hits=" << cbo.map_cache_hits << "/"
-        << cbo.map_cache_lookups << " wall=" << Seconds(cbo.seconds) << "\n";
+        << " wall=" << Seconds(cbo.seconds) << "\n";
     for (const CboRoundTrace& round : cbo.rounds) {
       out << "    " << round.phase << ": evaluated="
           << round.candidates_evaluated << " best="
           << Seconds(round.best_predicted_s) << " wall="
-          << Seconds(round.seconds) << " cum_map_cache_hits="
-          << round.map_cache_hits << "\n";
+          << Seconds(round.seconds) << "\n";
     }
   }
   if (!timeline.empty()) {

@@ -33,6 +33,9 @@ struct SideTrace {
 };
 
 /// Store-side effort for one submission, accumulated across both sides.
+/// Stage 1 counts as scans (an index lookup's verified candidates count as
+/// rows scanned); stages 2-3 and the tie-break count as entry gets, one
+/// per candidate decoded or served from the entry cache.
 struct StoreOpsTrace {
   uint64_t scans = 0;
   uint64_t rows_scanned = 0;
@@ -48,7 +51,6 @@ struct StoreOpsTrace {
 struct CboRoundTrace {
   std::string phase;  // "seed+global" or "refine N"
   uint64_t candidates_evaluated = 0;
-  uint64_t map_cache_hits = 0;   // cumulative cache hits after this round
   double best_predicted_s = 0.0;
   double seconds = 0.0;
 };
@@ -56,8 +58,6 @@ struct CboRoundTrace {
 struct CboTrace {
   std::vector<CboRoundTrace> rounds;
   uint64_t candidates_evaluated = 0;
-  uint64_t map_cache_hits = 0;
-  uint64_t map_cache_lookups = 0;
   double seconds = 0.0;
 };
 

@@ -10,7 +10,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "whatif/map_outcome_cache.h"
 
 namespace pstorm::optimizer {
 
@@ -103,10 +102,6 @@ Result<CostBasedOptimizer::Recommendation> CostBasedOptimizer::Optimize(
           : std::max(1u, std::thread::hardware_concurrency());
   common::ThreadPool* pool =
       num_threads > 1 ? common::ThreadPool::Shared() : nullptr;
-  // One memo table per Optimize call: it is keyed on the map-relevant
-  // configuration subset alone, so it is only valid for this
-  // (profile, data) pair.
-  whatif::MapOutcomeCache map_cache;
 
   // Evaluates a batch of candidates across the pool and folds it into the
   // incumbent. Every candidate in a batch is generated before any is
@@ -128,7 +123,7 @@ Result<CostBasedOptimizer::Recommendation> CostBasedOptimizer::Optimize(
           [&](size_t i) {
             const mrsim::Configuration& c = batch[i];
             if (!c.Validate().ok()) return;
-            auto prediction = engine_->Predict(profile, data, c, &map_cache);
+            auto prediction = engine_->Predict(profile, data, c);
             if (!prediction.ok()) return;
             runtimes[i] = prediction->runtime_s;
             feasible[i] = 1;
@@ -145,7 +140,6 @@ Result<CostBasedOptimizer::Recommendation> CostBasedOptimizer::Optimize(
       }
     }
     if (trace != nullptr) {
-      round_trace.map_cache_hits = map_cache.hits();
       round_trace.best_predicted_s = best.predicted_runtime_s;
       trace->rounds.push_back(std::move(round_trace));
     }
@@ -193,8 +187,6 @@ Result<CostBasedOptimizer::Recommendation> CostBasedOptimizer::Optimize(
   candidates_counter.Add(static_cast<uint64_t>(evaluated));
   if (trace != nullptr) {
     trace->candidates_evaluated = static_cast<uint64_t>(evaluated);
-    trace->map_cache_hits = map_cache.hits();
-    trace->map_cache_lookups = map_cache.lookups();
   }
 
   if (!std::isfinite(best.predicted_runtime_s)) {

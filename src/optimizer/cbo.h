@@ -51,8 +51,7 @@ class CostBasedOptimizer {
 
   /// Finds a near-optimal configuration for the job described by
   /// `profile` on `data`. `trace` (optional) receives the search-effort
-  /// accounting: candidates evaluated, MapOutcomeCache hit ratio, and wall
-  /// time per round.
+  /// accounting: candidates evaluated and wall time per round.
   Result<Recommendation> Optimize(const profiler::ExecutionProfile& profile,
                                   const mrsim::DataSetSpec& data,
                                   obs::CboTrace* trace = nullptr) const;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <vector>
 
 #include "mrsim/simulator.h"
 #include "obs/metrics.h"
@@ -13,7 +13,7 @@ WhatIfEngine::WhatIfEngine(mrsim::ClusterSpec cluster) : cluster_(cluster) {}
 
 Result<Prediction> WhatIfEngine::Predict(
     const profiler::ExecutionProfile& profile, const mrsim::DataSetSpec& data,
-    const mrsim::Configuration& config, MapOutcomeCache* map_cache) const {
+    const mrsim::Configuration& config) const {
   PSTORM_RETURN_IF_ERROR(cluster_.Validate());
   PSTORM_RETURN_IF_ERROR(data.Validate());
   PSTORM_RETURN_IF_ERROR(config.Validate());
@@ -65,53 +65,24 @@ Result<Prediction> WhatIfEngine::Predict(
   map_params.startup_seconds = cluster_.task_startup_seconds;
   map_params.spill_setup_seconds = cluster_.spill_setup_seconds;
 
-  // The whole map half — task model plus wave schedule — is a pure
-  // function of the map-relevant configuration subset, so a sweep over
-  // candidates can memoize it.
   static obs::Counter& predictions = obs::MetricsRegistry::Global().GetCounter(
       "pstorm_whatif_predictions_total");
-  static obs::Counter& map_cache_hits =
-      obs::MetricsRegistry::Global().GetCounter(
-          "pstorm_whatif_map_cache_hits_total");
-  static obs::Counter& map_cache_misses =
-      obs::MetricsRegistry::Global().GetCounter(
-          "pstorm_whatif_map_cache_misses_total");
   predictions.Increment();
-  std::shared_ptr<const MapModelEntry> map_entry;
-  const MapModelKey map_key = MapRelevantSubset(config);
-  if (map_cache != nullptr) map_entry = map_cache->Lookup(map_key);
-  if (map_entry != nullptr) {
-    map_cache_hits.Increment();
-  } else {
-    map_cache_misses.Increment();
-  }
-  if (map_entry == nullptr) {
-    auto fresh = std::make_shared<MapModelEntry>();
-    fresh->outcome = mrsim::ModelMapTask(map_params, config);
-    fresh->map_task_s = fresh->outcome.total_s;
-
-    // Wave scheduling of identical map tasks; keep the end times sorted
-    // so any slowstart fraction can index into them.
-    const std::vector<double> map_durations(num_splits, fresh->map_task_s);
-    const auto map_schedule =
-        mrsim::ListSchedule(cluster_.total_map_slots(), map_durations);
-    fresh->sorted_end_times.reserve(map_schedule.size());
-    for (const auto& [start, end] : map_schedule) {
-      fresh->sorted_end_times.push_back(end);
-    }
-    std::sort(fresh->sorted_end_times.begin(),
-              fresh->sorted_end_times.end());
-    fresh->map_phase_s = fresh->sorted_end_times.empty()
-                             ? 0.0
-                             : fresh->sorted_end_times.back();
-    map_entry = std::move(fresh);
-    if (map_cache != nullptr) map_cache->Insert(map_key, map_entry);
-  }
 
   Prediction prediction;
-  prediction.map_outcome = map_entry->outcome;
-  prediction.map_task_s = map_entry->map_task_s;
-  const double map_phase_end = map_entry->map_phase_s;
+  prediction.map_outcome = mrsim::ModelMapTask(map_params, config);
+  prediction.map_task_s = prediction.map_outcome.total_s;
+
+  // Wave scheduling of identical map tasks; keep the end times sorted so
+  // any slowstart fraction can index into them.
+  const std::vector<double> map_durations(num_splits, prediction.map_task_s);
+  const auto map_schedule =
+      mrsim::ListSchedule(cluster_.total_map_slots(), map_durations);
+  std::vector<double> map_ends;
+  map_ends.reserve(map_schedule.size());
+  for (const auto& [start, end] : map_schedule) map_ends.push_back(end);
+  std::sort(map_ends.begin(), map_ends.end());
+  const double map_phase_end = map_ends.empty() ? 0.0 : map_ends.back();
   prediction.map_phase_s = map_phase_end;
 
   if (config.num_reduce_tasks == 0) {
@@ -163,7 +134,6 @@ Result<Prediction> WhatIfEngine::Predict(
 
   // Reducers wait for the slowstart share of maps, and no shuffle ends
   // before the last map does.
-  const std::vector<double>& map_ends = map_entry->sorted_end_times;
   const size_t slowstart_index = static_cast<size_t>(std::ceil(
       config.reduce_slowstart_completed_maps *
       static_cast<double>(num_splits)));

@@ -7,7 +7,6 @@
 #include "mrsim/dataset.h"
 #include "mrsim/task_model.h"
 #include "profiler/profile.h"
-#include "whatif/map_outcome_cache.h"
 
 namespace pstorm::whatif {
 
@@ -40,18 +39,10 @@ class WhatIfEngine {
   const mrsim::ClusterSpec& cluster() const { return cluster_; }
 
   /// Predicts the runtime of the profiled job on `data` under `config`.
-  ///
-  /// `map_cache`, when non-null, memoizes the map half of the model keyed
-  /// by the map-relevant subset of `config` — candidates that differ only
-  /// in reduce-side parameters then skip ModelMapTask and the map-wave
-  /// schedule entirely. The cache is only valid for a fixed
-  /// (profile, data) pair on this engine's cluster; callers sweeping
-  /// configurations (the CBO) own one cache per sweep. Predict itself is
-  /// const and safe to call concurrently; the cache serializes internally.
+  /// Const and safe to call concurrently.
   Result<Prediction> Predict(const profiler::ExecutionProfile& profile,
                              const mrsim::DataSetSpec& data,
-                             const mrsim::Configuration& config,
-                             MapOutcomeCache* map_cache = nullptr) const;
+                             const mrsim::Configuration& config) const;
 
  private:
   mrsim::ClusterSpec cluster_;

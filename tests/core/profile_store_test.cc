@@ -141,12 +141,13 @@ TEST_F(ProfileStoreTest, CorruptMetadataRecoveryIsCounted) {
     ASSERT_TRUE((*table)->Put(put).ok());
     ASSERT_TRUE((*table)->Flush().ok());
   }
-  // And plant a raw bad cell key so the profile recount's full scan dies.
+  // And plant a raw bad cell key inside the Payload/ range so the profile
+  // recount's scan dies.
   {
     auto db = storage::Db::Open(&env_, "/ps-corrupt/region_0",
                                 storage::DbOptions{});
     ASSERT_TRUE(db.ok()) << db.status();
-    ASSERT_TRUE((*db)->Put("zzz-raw-bad-cell-key", "x").ok());
+    ASSERT_TRUE((*db)->Put("Payload/zzz-raw-bad-cell-key", "x").ok());
     ASSERT_TRUE((*db)->Flush().ok());
   }
   // The reopen degrades (empty bounds, zero count) instead of failing, and

@@ -211,7 +211,7 @@ TEST(SubmissionTraceTest, ToStringRendersAllSections) {
   trace.store.scans = 3;
   trace.store.entry_cache_hits = 2;
   trace.cbo.candidates_evaluated = 700;
-  trace.cbo.rounds.push_back(CboRoundTrace{"seed+global", 400, 10, 1.5, 0.2});
+  trace.cbo.rounds.push_back(CboRoundTrace{"seed+global", 400, 1.5, 0.2});
   trace.timeline.push_back(SpanRecord{"match", 0.01});
 
   const std::string s = trace.ToString();

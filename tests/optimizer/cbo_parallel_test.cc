@@ -8,7 +8,6 @@
 #include "jobs/datasets.h"
 #include "optimizer/cbo.h"
 #include "profiler/profiler.h"
-#include "whatif/map_outcome_cache.h"
 
 namespace pstorm::optimizer {
 namespace {
@@ -76,37 +75,6 @@ TEST_F(CboParallelTest, DefaultThreadCountMatchesSingleThreaded) {
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(parallel->config, serial->config);
   EXPECT_EQ(parallel->predicted_runtime_s, serial->predicted_runtime_s);
-}
-
-TEST_F(CboParallelTest, MapOutcomeCacheDoesNotChangePredictions) {
-  const auto job = jobs::WordCount();
-  const auto data = jobs::FindDataSet(jobs::kRandomText1Gb).value();
-  const auto profile = Profile(job, data);
-
-  whatif::MapOutcomeCache cache;
-  mrsim::Configuration a;  // Defaults.
-  mrsim::Configuration b = a;
-  b.num_reduce_tasks = 13;  // Reduce-side-only change: same map key.
-  b.reduce_slowstart_completed_maps = 0.4;
-  ASSERT_EQ(whatif::MapRelevantSubset(a), whatif::MapRelevantSubset(b));
-
-  const auto a_cold = engine_.Predict(profile, data, a);
-  const auto a_cached = engine_.Predict(profile, data, a, &cache);
-  const auto b_cached = engine_.Predict(profile, data, b, &cache);
-  const auto b_cold = engine_.Predict(profile, data, b);
-  ASSERT_TRUE(a_cold.ok() && a_cached.ok() && b_cold.ok() && b_cached.ok());
-  EXPECT_EQ(a_cached->runtime_s, a_cold->runtime_s);
-  EXPECT_EQ(b_cached->runtime_s, b_cold->runtime_s);
-  // Both configurations share one memoized map outcome.
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(a_cached->map_task_s, b_cached->map_task_s);
-  // A map-side change misses the cache.
-  mrsim::Configuration c = a;
-  c.io_sort_mb = 180.0;
-  const auto c_cached = engine_.Predict(profile, data, c, &cache);
-  ASSERT_TRUE(c_cached.ok());
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(c_cached->runtime_s, engine_.Predict(profile, data, c)->runtime_s);
 }
 
 }  // namespace
