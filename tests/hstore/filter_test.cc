@@ -23,9 +23,19 @@ TEST(PrefixFilterTest, MatchesPrefixOnly) {
   EXPECT_NE(filter.Describe().find("Dynamic/"), std::string::npos);
 }
 
-class CompareOpTest
-    : public ::testing::TestWithParam<std::tuple<CompareOp, const char*,
-                                                 bool, bool, bool>> {};
+struct CompareCase {
+  CompareOp op;
+  const char* name;
+  bool lt_matches;
+  bool eq_matches;
+  bool gt_matches;
+};
+
+// gtest would otherwise print the name as a pointer, whose value changes
+// every run, into the ctest name of each case.
+void PrintTo(const CompareCase& c, std::ostream* os) { *os << c.name; }
+
+class CompareOpTest : public ::testing::TestWithParam<CompareCase> {};
 
 TEST_P(CompareOpTest, ComparesBytes) {
   // Row value fixed at "m"; probe each operator against operands below,
@@ -44,14 +54,13 @@ TEST_P(CompareOpTest, ComparesBytes) {
 INSTANTIATE_TEST_SUITE_P(
     Ops, CompareOpTest,
     ::testing::Values(
-        std::make_tuple(CompareOp::kEqual, "eq", false, true, false),
-        std::make_tuple(CompareOp::kNotEqual, "ne", true, false, true),
-        std::make_tuple(CompareOp::kLess, "lt", true, false, false),
-        std::make_tuple(CompareOp::kLessOrEqual, "le", true, true, false),
-        std::make_tuple(CompareOp::kGreater, "gt", false, false, true),
-        std::make_tuple(CompareOp::kGreaterOrEqual, "ge", false, true,
-                        true)),
-    [](const auto& info) { return std::get<1>(info.param); });
+        CompareCase{CompareOp::kEqual, "eq", false, true, false},
+        CompareCase{CompareOp::kNotEqual, "ne", true, false, true},
+        CompareCase{CompareOp::kLess, "lt", true, false, false},
+        CompareCase{CompareOp::kLessOrEqual, "le", true, true, false},
+        CompareCase{CompareOp::kGreater, "gt", false, false, true},
+        CompareCase{CompareOp::kGreaterOrEqual, "ge", false, true, true}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(ColumnValueFilterTest, MissingColumnNeverMatches) {
   const RowResult row = MakeRow("r", {{"other", "x"}});

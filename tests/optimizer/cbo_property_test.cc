@@ -19,6 +19,12 @@ struct Scenario {
   const char* data_set;
 };
 
+// gtest would otherwise print the raw bytes of the struct, whose leading
+// pointer changes every run, into the ctest name of each case.
+void PrintTo(const Scenario& scenario, std::ostream* os) {
+  *os << scenario.label;
+}
+
 std::vector<Scenario> Scenarios() {
   return {
       {"wordcount", jobs::WordCount(), jobs::kRandomText1Gb},
