@@ -593,36 +593,35 @@ ScaleStore& GetScaleStore(size_t n) {
   return *s;
 }
 
-// The stage-1 funnel at corpus scale, indexed vs exhaustive. The probe
-// radius is a selective 10% of the thesis default — a probe near its own
-// archetype cluster, the regime the index exists for (at the full default
-// radius on this corpus the true stage-1 answer is most of the store, and
-// no candidate pruning is possible). The funnel_identity counter is the
-// accuracy check: over every probe, the indexed funnel's best match and
-// candidate counts equal the exhaustive funnel's exactly — by
-// construction the index is a pushdown, not an approximation, so accuracy
-// is identical (not merely within noise) at every store size.
+// The matcher funnel at corpus scale. The probe radius is a selective 10%
+// of the thesis default — a probe near its own archetype cluster, the
+// regime the match index exists for (at the full default radius on this
+// corpus the true stage-1 answer is most of the store, and no candidate
+// pruning is possible). The funnel_identity counter is the accuracy check:
+// for every probe and side, both Euclidean filters the funnel runs return
+// exactly the region scans' keys. The index is a pushdown, not an
+// approximation, so accuracy is identical (not merely within noise) at
+// every store size.
 void BM_MatcherFunnelAtScale(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const bool indexed = state.range(1) != 0;
   ScaleStore& s = GetScaleStore(n);
   core::MatchOptions options;
-  options.use_index = indexed;
   options.theta_euclidean_override = 0.1;
   core::MultiStageMatcher matcher(s.store.get(), options);
 
   double identity = 1.0;
-  {
-    core::MatchOptions exhaustive_options = options;
-    exhaustive_options.use_index = false;
-    core::MultiStageMatcher exhaustive(s.store.get(), exhaustive_options);
-    for (const auto& probe : s.probes) {
-      const auto a = matcher.Match(probe);
-      const auto b = exhaustive.Match(probe);
-      PSTORM_CHECK_OK(a.status());
-      PSTORM_CHECK_OK(b.status());
-      if (a->found != b->found || a->map_source != b->map_source ||
-          a->reduce_source != b->reduce_source) {
+  const double theta = options.theta_euclidean_override;
+  for (const auto& probe : s.probes) {
+    for (core::Side side : {core::Side::kMap, core::Side::kReduce}) {
+      const bool map = side == core::Side::kMap;
+      const auto& dynamic = map ? probe.map_dynamic : probe.reduce_dynamic;
+      const auto& costs = map ? probe.map_costs : probe.reduce_costs;
+      if (s.store->EuclideanCandidates(side, core::Space::kDynamic, dynamic,
+                                       theta) !=
+              s.store->DynamicEuclideanScan(side, dynamic, theta).value() ||
+          s.store->EuclideanCandidates(side, core::Space::kCost, costs,
+                                       theta) !=
+              s.store->CostEuclideanScan(side, costs, theta).value()) {
         identity = 0.0;
       }
     }
@@ -638,20 +637,16 @@ void BM_MatcherFunnelAtScale(benchmark::State& state) {
   state.counters["funnel_identity"] = identity;
 }
 BENCHMARK(BM_MatcherFunnelAtScale)
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->ArgNames({"profiles", "indexed"})
+    ->Arg(10000)
+    ->ArgNames({"profiles"})
     ->Unit(benchmark::kMillisecond);
 
-// Steady-state PutProfile throughput with and without incremental index
-// maintenance: the indexed:1/indexed:0 delta is the per-put price of
-// keeping the secondary index current (cell hashing + four SoA appends).
+// Steady-state PutProfile throughput, including the incremental match-index
+// maintenance every put pays (cell hashing + four SoA appends).
 void BM_IndexedPut(benchmark::State& state) {
-  const bool indexed = state.range(0) != 0;
   storage::InMemoryEnv env;
   core::ProfileStoreOptions options;
   options.eager_flush = false;
-  options.enable_match_index = indexed;
   auto store = core::ProfileStore::Open(&env, "/bm-put", options).value();
   tools::SyntheticCorpusOptions corpus_options;
   corpus_options.num_profiles = 4000000;  // Key space, not preloaded rows.
@@ -663,11 +658,39 @@ void BM_IndexedPut(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IndexedPut)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"indexed"})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_IndexedPut)->Unit(benchmark::kMicrosecond);
+
+// Reopening a flushed store of n profiles: the timed Open is the region
+// opens, the bounds load, the profile recount and the match-index rebuild.
+// Its median bounds what skipping the rebuild at open could save. The
+// store is built once per size and deliberately leaked, like the
+// ScaleStore cache above.
+void BM_OpenAtScale(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  static auto* envs = new std::map<size_t, storage::InMemoryEnv*>();
+  storage::InMemoryEnv*& env = (*envs)[n];
+  if (env == nullptr) {
+    env = new storage::InMemoryEnv();
+    core::ProfileStoreOptions options;
+    options.eager_flush = false;
+    auto store = core::ProfileStore::Open(env, "/bm-open", options).value();
+    tools::SyntheticCorpusOptions corpus_options;
+    corpus_options.num_profiles = n;
+    PSTORM_CHECK_OK(
+        tools::SyntheticCorpus(corpus_options).LoadInto(store.get()));
+  }
+  for (auto _ : state) {
+    auto store = core::ProfileStore::Open(env, "/bm-open").value();
+    benchmark::DoNotOptimize(store.get());
+    state.PauseTiming();
+    store.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_OpenAtScale)
+    ->Arg(10000)
+    ->ArgNames({"profiles"})
+    ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------------- end to end
 

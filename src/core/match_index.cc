@@ -11,16 +11,18 @@ namespace pstorm::core {
 namespace {
 
 /// Quantized coordinates are packed 16 bits per dimension into the 64-bit
-/// cell key, so a band covers at most 4 dimensions. kNanCoord marks a NaN
-/// value (its cell is never pruned into the result: the exact verify
+/// cell key, so a bucketed space has at most 4 dimensions. kNanCoord marks
+/// a NaN value (its cell is never pruned into the result: the exact verify
 /// rejects NaN distances, as the exhaustive filter does).
 constexpr int kMaxCoord = 32766;
 constexpr int kMinCoord = -32766;
 constexpr int kNanCoord = -32768;
-constexpr size_t kMaxDimsPerBand = 4;
+constexpr size_t kMaxBucketedDims = 4;
+/// Quantization width of a cell in asinh(value) space (DESIGN.md §13).
+constexpr double kCellWidth = 0.5;
 
-int QuantizeCoord(double value, double cell_width) {
-  const double u = std::asinh(value) / cell_width;
+int QuantizeCoord(double value) {
+  const double u = std::asinh(value) / kCellWidth;
   if (std::isnan(u)) return kNanCoord;
   if (u >= kMaxCoord) return kMaxCoord;
   if (u <= kMinCoord) return kMinCoord;
@@ -30,7 +32,7 @@ int QuantizeCoord(double value, double cell_width) {
 /// The raw-value interval covered by coordinate `c`, padded so that every
 /// value that quantizes to `c` provably lies inside despite asinh/sinh
 /// rounding. Clamped edge coordinates extend to infinity.
-void CoordInterval(int c, double cell_width, double* lo, double* hi) {
+void CoordInterval(int c, double* lo, double* hi) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   if (c == kNanCoord) {
     // NaN members never pass the exact filter; an unprunable interval
@@ -39,47 +41,24 @@ void CoordInterval(int c, double cell_width, double* lo, double* hi) {
     *hi = kInf;
     return;
   }
-  *lo = c <= kMinCoord ? -kInf : std::sinh(c * cell_width);
-  *hi = c >= kMaxCoord ? kInf : std::sinh((c + 1) * cell_width);
+  *lo = c <= kMinCoord ? -kInf : std::sinh(c * kCellWidth);
+  *hi = c >= kMaxCoord ? kInf : std::sinh((c + 1) * kCellWidth);
   if (std::isfinite(*lo)) *lo -= std::fabs(*lo) * 1e-9 + 1e-12;
   if (std::isfinite(*hi)) *hi += std::fabs(*hi) * 1e-9 + 1e-12;
 }
 
 }  // namespace
 
-VectorSpaceIndex::VectorSpaceIndex(size_t dims, bool bucketed,
-                                   MatchIndexOptions options)
-    : dims_(dims),
-      bucketed_(bucketed),
-      cell_width_(options.cell_width > 0 ? options.cell_width : 0.5),
-      soa_(dims) {
+VectorSpaceIndex::VectorSpaceIndex(size_t dims, bool bucketed)
+    : dims_(dims), bucketed_(bucketed), soa_(dims) {
   PSTORM_CHECK(dims_ > 0);
-  if (!bucketed_) return;
-  // A band's coordinates must fit the packed cell key; the band count is
-  // otherwise the caller's trade-off between pruning radius
-  // (theta/sqrt(bands), finer with more bands) and lookups touching every
-  // band.
-  const size_t min_bands = (dims_ + kMaxDimsPerBand - 1) / kMaxDimsPerBand;
-  size_t bands = options.bands < 1 ? 1 : static_cast<size_t>(options.bands);
-  bands = std::clamp(bands, min_bands, dims_);
-  const size_t base = dims_ / bands;
-  const size_t extra = dims_ % bands;
-  size_t begin = 0;
-  for (size_t b = 0; b < bands; ++b) {
-    Band band;
-    band.begin = begin;
-    band.end = begin + base + (b < extra ? 1 : 0);
-    begin = band.end;
-    bands_.push_back(std::move(band));
-  }
-  PSTORM_CHECK(begin == dims_);
+  PSTORM_CHECK(!bucketed_ || dims_ <= kMaxBucketedDims);
 }
 
-uint64_t VectorSpaceIndex::CellKey(const Band& band,
-                                   const std::vector<double>& values) const {
+uint64_t VectorSpaceIndex::CellKey(const std::vector<double>& values) const {
   uint64_t key = 0;
-  for (size_t d = band.begin; d < band.end; ++d) {
-    const int c = QuantizeCoord(values[d], cell_width_);
+  for (size_t d = 0; d < dims_; ++d) {
+    const int c = QuantizeCoord(values[d]);
     key = (key << 16) | static_cast<uint16_t>(c - kNanCoord);
   }
   return key;
@@ -101,9 +80,7 @@ void VectorSpaceIndex::Put(const std::string& key,
   }
   slot_of_key_[key] = slot;
   ++live_;
-  for (Band& band : bands_) {
-    band.cells[CellKey(band, values)].push_back(slot);
-  }
+  if (bucketed_) cells_[CellKey(values)].push_back(slot);
 }
 
 bool VectorSpaceIndex::Delete(const std::string& key) {
@@ -115,13 +92,12 @@ bool VectorSpaceIndex::Delete(const std::string& key) {
 }
 
 void VectorSpaceIndex::RemoveSlot(uint32_t slot) {
-  const std::vector<double> values = soa_.Row(slot);
-  for (Band& band : bands_) {
-    auto cell = band.cells.find(CellKey(band, values));
-    PSTORM_CHECK(cell != band.cells.end());
+  if (bucketed_) {
+    auto cell = cells_.find(CellKey(soa_.Row(slot)));
+    PSTORM_CHECK(cell != cells_.end());
     auto& slots = cell->second;
     slots.erase(std::find(slots.begin(), slots.end(), slot));
-    if (slots.empty()) band.cells.erase(cell);
+    if (slots.empty()) cells_.erase(cell);
   }
   keys_[slot].clear();
   free_slots_.push_back(slot);
@@ -134,7 +110,7 @@ void VectorSpaceIndex::Clear() {
   slot_of_key_.clear();
   free_slots_.clear();
   live_ = 0;
-  for (Band& band : bands_) band.cells.clear();
+  cells_.clear();
 }
 
 std::vector<std::string> VectorSpaceIndex::Lookup(
@@ -155,54 +131,48 @@ std::vector<std::string> VectorSpaceIndex::Lookup(
   }
 
   std::vector<uint32_t> rows;
-  if (bands_.empty()) {
+  if (!bucketed_) {
     // Scan-only space: verify every slot (tombstones are filtered at the
     // accept stage below).
     rows.resize(keys_.size());
     for (uint32_t i = 0; i < rows.size(); ++i) rows[i] = i;
     q.candidates_enumerated = live_;
   } else {
-    // Any member within theta overall is within theta/sqrt(B) in at least
-    // one of the B band subspaces, so the union of each band's
-    // cells-within-radius is a superset of the true result. The per-band
-    // radius is padded by a hair so floating-point slack in the cell
-    // bounds can never drop a true candidate (the exact verify below
+    // A cell whose nearest point lies beyond theta holds no member within
+    // theta. The radius is padded by a hair so floating-point slack in the
+    // cell bounds can never drop a true candidate (the exact verify below
     // removes every false one).
-    const double band_theta_sq =
-        theta * theta / static_cast<double>(bands_.size()) * (1.0 + 1e-9) +
-        1e-12;
-    for (const Band& band : bands_) {
-      for (const auto& [cell_key, slots] : band.cells) {
-        ++q.cells_visited;
-        // Minimum possible squared normalized distance, over this band's
-        // dimensions, between the probe and any point of the cell.
-        uint64_t packed = cell_key;
-        double min_dist_sq = 0.0;
-        for (size_t d = band.end; d-- > band.begin;) {
-          const int c =
-              static_cast<int>(packed & 0xffff) + kNanCoord;
-          packed >>= 16;
-          double lo, hi;
-          CoordInterval(c, cell_width_, &lo, &hi);
-          const double nlo = (lo - mins[d]) / ranges[d];
-          const double nhi = (hi - mins[d]) / ranges[d];
-          const double p = normalized_probe[d];
-          double gap = 0.0;
-          if (p < nlo) gap = nlo - p;
-          if (p > nhi) gap = p - nhi;
-          min_dist_sq += gap * gap;
-        }
-        if (min_dist_sq > band_theta_sq) {
-          ++q.cells_pruned;
-          continue;
-        }
-        q.candidates_enumerated += slots.size();
-        rows.insert(rows.end(), slots.begin(), slots.end());
+    const double theta_sq = theta * theta * (1.0 + 1e-9) + 1e-12;
+    for (const auto& [cell_key, slots] : cells_) {
+      ++q.cells_visited;
+      // Minimum possible squared normalized distance between the probe
+      // and any point of the cell.
+      uint64_t packed = cell_key;
+      double min_dist_sq = 0.0;
+      for (size_t d = dims_; d-- > 0;) {
+        const int c = static_cast<int>(packed & 0xffff) + kNanCoord;
+        packed >>= 16;
+        double lo, hi;
+        CoordInterval(c, &lo, &hi);
+        const double nlo = (lo - mins[d]) / ranges[d];
+        const double nhi = (hi - mins[d]) / ranges[d];
+        const double p = normalized_probe[d];
+        double gap = 0.0;
+        if (p < nlo) gap = nlo - p;
+        if (p > nhi) gap = p - nhi;
+        min_dist_sq += gap * gap;
       }
+      if (min_dist_sq > theta_sq) {
+        ++q.cells_pruned;
+        continue;
+      }
+      q.candidates_enumerated += slots.size();
+      rows.insert(rows.end(), slots.begin(), slots.end());
     }
-    // The same slot can surface from several bands.
+    // Slot order keeps the verify pass sequential in memory and, since a
+    // rebuild inserts in key order, hands the final key sort nearly
+    // sorted input (measurably cheaper than cell order at 10^3 members).
     std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   }
 
   std::vector<double> distances;
@@ -233,14 +203,11 @@ VectorSpaceIndex::Snapshot() const {
   return out;
 }
 
-MatchIndex::MatchIndex(Spec spec, MatchIndexOptions options)
-    : dynamic_{VectorSpaceIndex(spec.map_dynamic_dims, /*bucketed=*/true,
-                                options),
-               VectorSpaceIndex(spec.reduce_dynamic_dims, /*bucketed=*/true,
-                                options)},
-      cost_{VectorSpaceIndex(spec.map_cost_dims, /*bucketed=*/false, options),
-            VectorSpaceIndex(spec.reduce_cost_dims, /*bucketed=*/false,
-                             options)} {}
+MatchIndex::MatchIndex(Spec spec)
+    : dynamic_{VectorSpaceIndex(spec.map_dynamic_dims, /*bucketed=*/true),
+               VectorSpaceIndex(spec.reduce_dynamic_dims, /*bucketed=*/true)},
+      cost_{VectorSpaceIndex(spec.map_cost_dims, /*bucketed=*/false),
+            VectorSpaceIndex(spec.reduce_cost_dims, /*bucketed=*/false)} {}
 
 void MatchIndex::Put(const std::string& job_key,
                      const std::vector<double>& map_dynamic,

@@ -11,34 +11,16 @@
 
 namespace pstorm::core {
 
-/// Tuning knobs of the secondary match index (see DESIGN.md §13).
-struct MatchIndexOptions {
-  /// LSH-style band count for the bucketed dynamic-feature spaces: the
-  /// dimensions are split into `bands` contiguous subspaces, each with its
-  /// own inverted cell lists. One band gives exact cell-level pruning on
-  /// the full distance (the tightest filter); more bands shrink each cell
-  /// key but prune each band at only theta/sqrt(bands) over a *subset* of
-  /// the dimensions and union the survivors, which on skewed data admits
-  /// members that are close in any one band (see DESIGN.md §13 for
-  /// measurements). Spaces wider than 4 dims need >=ceil(dims/4) bands to
-  /// fit the packed key. Clamped to [ceil(dims/4), dims] per space.
-  int bands = 1;
-  /// Quantization width of a cell in asinh(value) space. Wider cells mean
-  /// fewer, fuller cells (cheaper cell sweep, coarser pruning).
-  double cell_width = 0.5;
-};
-
 /// An exact secondary index over one vector space (e.g. "map-side dynamic
 /// features"): stores every member contiguously in dimension-major (SoA)
-/// order and, when `bucketed`, additionally maintains per-band inverted
+/// order and, when `bucketed`, additionally maintains one grid of inverted
 /// lists keyed on coarse quantized cells of the raw values.
 ///
 /// A lookup enumerates only the members of cells whose minimum possible
-/// normalized distance to the probe is within the band's pruning radius,
-/// then verifies the survivors with a branch-free vectorized kernel that
-/// replays the exhaustive filter's exact arithmetic — the result is the
-/// same key set, in the same (lexicographic) order, as the pushed-down
-/// region scan it replaces.
+/// normalized distance to the probe is within `theta`, then verifies the
+/// survivors with a branch-free vectorized kernel that replays the
+/// exhaustive filter's exact arithmetic — the result is the same key set,
+/// in the same (lexicographic) order, as the pushed-down region scan.
 ///
 /// Cell keys are pure functions of the *raw* feature values (quantized in
 /// asinh space, which is sign-preserving and scale-free), so they stay
@@ -50,7 +32,9 @@ struct MatchIndexOptions {
 /// mutations and excludes them from lookups.
 class VectorSpaceIndex {
  public:
-  VectorSpaceIndex(size_t dims, bool bucketed, MatchIndexOptions options);
+  /// A bucketed space packs its cell key into 64 bits, 16 per dim, so it
+  /// has at most 4 dims (checked).
+  VectorSpaceIndex(size_t dims, bool bucketed);
 
   /// Inserts or replaces `key`. `values.size()` must equal dims().
   void Put(const std::string& key, const std::vector<double>& values);
@@ -64,8 +48,8 @@ class VectorSpaceIndex {
   struct QueryStats {
     uint64_t cells_visited = 0;
     uint64_t cells_pruned = 0;
-    /// Posting entries enumerated from surviving cells (pre-dedupe); the
-    /// index's analogue of rows_scanned.
+    /// Posting entries enumerated from surviving cells; the index's
+    /// analogue of rows_scanned.
     uint64_t candidates_enumerated = 0;
     uint64_t candidates_returned = 0;
   };
@@ -88,19 +72,11 @@ class VectorSpaceIndex {
   std::vector<std::pair<std::string, std::vector<double>>> Snapshot() const;
 
  private:
-  struct Band {
-    size_t begin = 0;  // [begin, end) of the dims this band covers.
-    size_t end = 0;
-    /// Packed quantized cell -> slots of the members in that cell.
-    std::unordered_map<uint64_t, std::vector<uint32_t>> cells;
-  };
-
-  uint64_t CellKey(const Band& band, const std::vector<double>& values) const;
+  uint64_t CellKey(const std::vector<double>& values) const;
   void RemoveSlot(uint32_t slot);
 
   const size_t dims_;
   const bool bucketed_;
-  const double cell_width_;
 
   /// Dimension-major member storage; slot-parallel with keys_. Tombstoned
   /// slots keep their values (they are unreachable: not in any posting
@@ -111,7 +87,9 @@ class VectorSpaceIndex {
   std::vector<uint32_t> free_slots_;
   size_t live_ = 0;
 
-  std::vector<Band> bands_;  // Empty when !bucketed_.
+  /// Packed quantized cell -> slots of the members in that cell. Empty
+  /// when !bucketed_.
+  std::unordered_map<uint64_t, std::vector<uint32_t>> cells_;
 };
 
 /// The full secondary-index layer over a ProfileStore's discovery
@@ -132,7 +110,7 @@ class MatchIndex {
  public:
   using Spec = MatchIndexSpec;
 
-  explicit MatchIndex(Spec spec = {}, MatchIndexOptions options = {});
+  explicit MatchIndex(Spec spec = {});
 
   /// Side selectors (profile_store.h's Side enum maps onto these; this
   /// header stays below profile_store.h in the include order).
@@ -158,19 +136,6 @@ class MatchIndex {
     return dynamic_[side];
   }
   const VectorSpaceIndex& cost_space(int side) const { return cost_[side]; }
-
-  std::vector<std::string> DynamicLookup(
-      int side, const std::vector<double>& probe, double theta,
-      const std::vector<double>& mins, const std::vector<double>& ranges,
-      VectorSpaceIndex::QueryStats* stats = nullptr) const {
-    return dynamic_[side].Lookup(probe, theta, mins, ranges, stats);
-  }
-  std::vector<std::string> CostLookup(
-      int side, const std::vector<double>& probe, double theta,
-      const std::vector<double>& mins, const std::vector<double>& ranges,
-      VectorSpaceIndex::QueryStats* stats = nullptr) const {
-    return cost_[side].Lookup(probe, theta, mins, ranges, stats);
-  }
 
  private:
   VectorSpaceIndex dynamic_[2];

@@ -16,18 +16,6 @@ namespace pstorm::core {
 
 namespace {
 
-/// Folds one scan's work into the submission's store accounting.
-void RecordScan(const hstore::ScanStats& s, obs::StoreOpsTrace* t) {
-  if (t == nullptr) return;
-  ++t->scans;
-  t->rows_scanned += s.rows_scanned;
-  t->rows_returned += s.rows_returned;
-  // A per-open state, not a per-scan delta: keep the max, not the sum.
-  if (s.regions_recovered_empty > t->regions_recovered_empty) {
-    t->regions_recovered_empty = s.regions_recovered_empty;
-  }
-}
-
 void RecordEntryGet(bool cache_hit, obs::StoreOpsTrace* t) {
   if (t == nullptr) return;
   ++t->entry_gets;
@@ -37,10 +25,10 @@ void RecordEntryGet(bool cache_hit, obs::StoreOpsTrace* t) {
 using EntryRef = std::shared_ptr<const StoredEntry>;
 
 /// Decodes each stage-1 survivor once for the in-memory stages 2-3,
-/// keeping the key order stage 1 returns (the index, the region scan and
-/// ListJobKeys all return sorted unique keys). A survivor deleted since
-/// stage 1 is skipped; one whose rows fail to decode drops out of the
-/// funnel and is counted instead of failing the match (DESIGN.md §5).
+/// keeping the key order stage 1 returns (the index and ListJobKeys both
+/// return sorted unique keys). A survivor deleted since stage 1 is
+/// skipped; one whose rows fail to decode drops out of the funnel and is
+/// counted instead of failing the match (DESIGN.md §5).
 Result<std::vector<EntryRef>> FetchSurvivors(
     const ProfileStore& store, const std::vector<std::string>& keys,
     obs::StoreOpsTrace* t) {
@@ -169,45 +157,6 @@ MultiStageMatcher::MultiStageMatcher(const ProfileStore* store,
                                      MatchOptions options)
     : store_(store), options_(options) {
   PSTORM_CHECK(store != nullptr);
-}
-
-Result<std::vector<std::string>> MultiStageMatcher::EuclideanCandidates(
-    Side side, bool cost_space, const std::vector<double>& probe,
-    double theta, obs::StoreOpsTrace* store_trace, bool* used_index) const {
-  *used_index = false;
-  if (options_.use_index && store_->match_index_ready()) {
-    VectorSpaceIndex::QueryStats qstats;
-    auto indexed =
-        cost_space ? store_->IndexedCostScan(side, probe, theta, &qstats)
-                   : store_->IndexedDynamicScan(side, probe, theta, &qstats);
-    if (indexed.ok()) {
-      *used_index = true;
-      if (store_trace != nullptr) {
-        // The index's enumeration work, folded into the same accounting
-        // the exhaustive scan feeds: candidates verified ~ rows scanned.
-        ++store_trace->scans;
-        store_trace->rows_scanned += qstats.candidates_enumerated;
-        store_trace->rows_returned += qstats.candidates_returned;
-      }
-      return indexed;
-    }
-    // The index raced to not-ready (or was disabled between the check and
-    // the call): the exhaustive scan below serves the identical set.
-  }
-  if (options_.use_index) {
-    static obs::Counter& fallbacks = obs::MetricsRegistry::Global().GetCounter(
-        "pstorm_match_index_fallback_scans_total");
-    fallbacks.Increment();
-  }
-  hstore::ScanStats sstats;
-  auto scanned =
-      cost_space
-          ? store_->CostEuclideanScan(side, probe, theta,
-                                      options_.server_side_filtering, &sstats)
-          : store_->DynamicEuclideanScan(
-                side, probe, theta, options_.server_side_filtering, &sstats);
-  if (scanned.ok()) RecordScan(sstats, store_trace);
-  return scanned;
 }
 
 double MultiStageMatcher::ThetaEuclidean(size_t dims) const {
@@ -346,6 +295,21 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
   const std::string probe_calls = StrJoin(
       side == Side::kMap ? probe.map_calls : probe.reduce_calls, ",");
 
+  // A Euclidean filter on the store's match index, counted as one scan in
+  // the store accounting: verified candidates count as rows scanned.
+  auto euclidean = [&](Space space, const std::vector<double>& values,
+                       double theta) {
+    VectorSpaceIndex::QueryStats stats;
+    std::vector<std::string> keys =
+        store_->EuclideanCandidates(side, space, values, theta, &stats);
+    if (store_trace != nullptr) {
+      ++store_trace->scans;
+      store_trace->rows_scanned += stats.candidates_enumerated;
+      store_trace->rows_returned += stats.candidates_returned;
+    }
+    return keys;
+  };
+
   // Picks the winner among `survivors` and records how the side matched.
   auto finish = [&](const std::vector<std::string>& survivors,
                     const std::vector<std::string>& tie_categorical,
@@ -371,14 +335,10 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
                                      : "static-filters-first ablation");
   } else {
     // ---- Stage 1: dynamic features (Figure 4.4 order). ----
-    bool used_index = false;
-    PSTORM_ASSIGN_OR_RETURN(
-        candidates, EuclideanCandidates(side, /*cost_space=*/false, dynamic,
-                                        theta, store_trace, &used_index));
+    candidates = euclidean(Space::kDynamic, dynamic, theta);
     result.after_dynamic = candidates.size();
     RecordStage(side_trace, "dynamic", store_->num_profiles(),
-                candidates.size(),
-                ThetaDetail(theta) + (used_index ? " indexed" : ""));
+                candidates.size(), ThetaDetail(theta));
   }
   // An empty set after the *first* filter is a hard failure: nothing in
   // the store behaves like this job.
@@ -422,11 +382,8 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
   if (options_.static_filters_first) {
     // Ablation order: dynamic filter runs last, over the static survivors.
     if (after_jaccard.empty()) return result;
-    bool used_index = false;
-    PSTORM_ASSIGN_OR_RETURN(
-        std::vector<std::string> dynamic_pass,
-        EuclideanCandidates(side, /*cost_space=*/false, dynamic, theta,
-                            store_trace, &used_index));
+    const std::vector<std::string> dynamic_pass =
+        euclidean(Space::kDynamic, dynamic, theta);
     const std::unordered_set<std::string> dynamic_pass_set(
         dynamic_pass.begin(), dynamic_pass.end());
     std::vector<std::string> final_set;
@@ -450,11 +407,8 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
   // dynamic survivors (§4.3).
   if (!options_.use_cost_factor_fallback) return result;
   const double cost_theta = ThetaEuclidean(costs.size());
-  bool used_cost_index = false;
-  PSTORM_ASSIGN_OR_RETURN(
-      std::vector<std::string> fallback,
-      EuclideanCandidates(side, /*cost_space=*/true, costs, cost_theta,
-                          store_trace, &used_cost_index));
+  const std::vector<std::string> fallback =
+      euclidean(Space::kCost, costs, cost_theta);
   // Intersect with the decoded dynamic survivors: the fallback refines
   // C', it does not resurrect profiles the dynamic filter rejected.
   std::unordered_set<std::string> survivor_set;

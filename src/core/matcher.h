@@ -21,16 +21,6 @@ struct MatchOptions {
   /// Apply the cost-factor fallback filter when the static filters empty
   /// the candidate set (the "alternative filter" of Figure 4.4).
   bool use_cost_factor_fallback = true;
-  /// Push filters to the store's regions (§5.3); false ships every row to
-  /// the client (ablation).
-  bool server_side_filtering = true;
-  /// Enumerate the Euclidean-filter candidates from the store's secondary
-  /// match index (banded bucket pruning + vectorized exact verify; see
-  /// DESIGN.md §13) when it is ready. The indexed and exhaustive paths
-  /// return identical candidate sets in identical order; when the index
-  /// is disabled or not ready the matcher silently uses the exhaustive
-  /// region scan. False forces the exhaustive scan (ablation).
-  bool use_index = true;
   /// Ablation of §4.3's stage order: run the static filters before the
   /// dynamic filter. Loses the composite-profile opportunities the thesis
   /// describes (e.g. same code, different user parameters).
@@ -108,10 +98,11 @@ bool JaccardStagePasses(Side side, const std::vector<std::string>& probe,
 /// the static filters empty the candidate set (a previously unseen job),
 /// it falls back to a Euclidean filter over the Table 4.2 cost factors.
 ///
-/// Stage 1 runs in the store (match index or region scan). Each stage-1
-/// survivor is then decoded once through ProfileStore::GetEntryRef, and
-/// stages 2-3 run on those entries in sorted-key order. A survivor whose
-/// rows fail to decode drops out of the funnel and is counted in
+/// Stage 1 and the alternative filter run on the store's match index
+/// (ProfileStore::EuclideanCandidates). Each stage-1 survivor is then
+/// decoded once through ProfileStore::GetEntryRef, and stages 2-3 run on
+/// those entries in sorted-key order. A survivor whose rows fail to
+/// decode drops out of the funnel and is counted in
 /// pstorm_matcher_corrupt_candidates_total; it never fails the match.
 class MultiStageMatcher {
  public:
@@ -151,14 +142,6 @@ class MultiStageMatcher {
                                obs::StoreOpsTrace* store_trace = nullptr) const;
 
  private:
-  /// Euclidean candidate enumeration (stage 1 over the dynamic features,
-  /// or the cost-factor alternative): through the store's match index
-  /// when `use_index` is set and the index is ready, else the exhaustive
-  /// scan. `used_index` (required) reports the path taken.
-  Result<std::vector<std::string>> EuclideanCandidates(
-      Side side, bool cost_space, const std::vector<double>& probe,
-      double theta, obs::StoreOpsTrace* store_trace, bool* used_index) const;
-
   double ThetaEuclidean(size_t dims) const;
 
   const ProfileStore* store_;

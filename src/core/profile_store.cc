@@ -245,18 +245,12 @@ std::vector<double> FeatureBounds::Normalize(
 
 ProfileStore::ProfileStore(std::unique_ptr<hstore::HTable> table,
                            ProfileStoreOptions options)
-    : table_(std::move(table)), options_(std::move(options)) {
-  if (!options_.enable_match_index) return;
-  MatchIndex::Spec spec;
-  spec.map_dynamic_dims = DynamicColumnNames(Side::kMap).size();
-  spec.map_cost_dims = CostColumnNames(Side::kMap).size();
-  spec.reduce_dynamic_dims = DynamicColumnNames(Side::kReduce).size();
-  spec.reduce_cost_dims = CostColumnNames(Side::kReduce).size();
-  MatchIndexOptions index_options;
-  index_options.bands = options_.index_bands;
-  index_options.cell_width = options_.index_cell_width;
-  index_ = std::make_unique<MatchIndex>(spec, index_options);
-}
+    : table_(std::move(table)),
+      options_(std::move(options)),
+      index_(MatchIndex::Spec{DynamicColumnNames(Side::kMap).size(),
+                              CostColumnNames(Side::kMap).size(),
+                              DynamicColumnNames(Side::kReduce).size(),
+                              CostColumnNames(Side::kReduce).size()}) {}
 
 ProfileStore::~ProfileStore() {
   EntryCacheEntries().Add(-static_cast<int64_t>(entry_cache_size()));
@@ -297,37 +291,26 @@ Result<std::unique_ptr<ProfileStore>> ProfileStore::Open(
         .GetCounter("pstorm_store_count_resets_total")
         .Increment();
   }
-  if (store->index_ != nullptr) {
-    if (store->options_.index_rebuild_on_open) {
-      if (Status s = store->RebuildMatchIndex(); !s.ok()) {
-        // Same graceful-degradation posture as the metadata above: a
-        // store whose index cannot be rebuilt still serves — the matcher
-        // falls back to the exhaustive scans.
-        PSTORM_LOG(Warning) << "profile store: match index rebuild failed, "
-                            << "falling back to exhaustive scans: "
-                            << s.ToString();
-        obs::MetricsRegistry::Global()
-            .GetCounter("pstorm_match_index_rebuild_failures_total")
-            .Increment();
-      }
-    } else if (store->num_profiles() == 0) {
-      // Nothing stored yet: the (empty) index trivially covers the store
-      // and incremental maintenance keeps it complete.
-      store->index_ready_ = true;
-    }
+  if (Status s = store->RebuildMatchIndex(); !s.ok()) {
+    // The rule of the recount above: the store serves from an empty index
+    // that later puts fill, so profiles stored from now on still match.
+    if (!s.IsCorruption()) return s;
+    PSTORM_LOG(Warning) << "profile store: match index rebuild failed under "
+                        << "corruption, serving from an empty index: "
+                        << s.ToString();
+    obs::MetricsRegistry::Global()
+        .GetCounter("pstorm_match_index_rebuild_failures_total")
+        .Increment();
   }
   return store;
 }
 
 Status ProfileStore::RebuildMatchIndex() {
-  if (index_ == nullptr) {
-    return Status::FailedPrecondition("match index disabled");
-  }
   std::lock_guard<std::mutex> write_lock(write_mu_);
   PSTORM_ASSIGN_OR_RETURN(auto rows,
                           table_->Scan(PrefixRange(kDynamicPrefix)));
   std::unique_lock<std::shared_mutex> index_lock(index_mu_);
-  index_->Clear();
+  index_.Clear();
   for (const hstore::RowResult& row : rows) {
     const std::string key = row.row().substr(sizeof(kDynamicPrefix) - 1);
     // Each vector is indexed independently: a row with one malformed
@@ -347,9 +330,8 @@ Status ProfileStore::RebuildMatchIndex() {
     if (!ReadColumns(row, CostColumnNames(Side::kReduce), &reduce_costs)) {
       reduce_costs.clear();
     }
-    index_->Put(key, map_dynamic, map_costs, reduce_dynamic, reduce_costs);
+    index_.Put(key, map_dynamic, map_costs, reduce_dynamic, reduce_costs);
   }
-  index_ready_ = true;
   obs::MetricsRegistry::Global()
       .GetCounter("pstorm_match_index_rebuilds_total")
       .Increment();
@@ -442,9 +424,10 @@ Status ProfileStore::PutProfile(
                            ? profile_keys_.count(job_key) > 0
                            : table_->Get(kPayloadPrefix + job_key).ok();
 
-  // Row publication order matters under concurrency: the matcher discovers
-  // candidates by scanning Dynamic rows and then fetches their Static and
-  // Payload rows, so the Dynamic row is written LAST. A concurrent matcher
+  // Row publication order matters under concurrency: a candidate is
+  // discovered through its Dynamic row (by the region scans, and by the
+  // index, which is updated after it) and then its Static and Payload rows
+  // are fetched, so the Dynamic row is written LAST. A concurrent matcher
   // either does not see the in-flight profile at all, or sees it with all
   // three rows already in place — never a dangling candidate.
 
@@ -518,7 +501,7 @@ Status ProfileStore::PutProfile(
   // Index maintenance rides immediately on publication — before anything
   // below can fail — so on every exit the index agrees with the table's
   // Dynamic rows.
-  if (index_ != nullptr) {
+  {
     std::unique_lock<std::shared_mutex> index_lock(index_mu_);
     IndexPutLocked(job_key, profile);
   }
@@ -651,9 +634,9 @@ Status ProfileStore::DeleteProfile(const std::string& job_key) {
   PSTORM_RETURN_IF_ERROR(table_->DeleteRow(kDynamicPrefix + job_key));
   // The Dynamic row is gone, so the profile is undiscoverable; drop it
   // from the index before the remaining rows disappear.
-  if (index_ != nullptr) {
+  {
     std::unique_lock<std::shared_mutex> index_lock(index_mu_);
-    index_->Delete(job_key);
+    index_.Delete(job_key);
     static obs::Counter& deletes = obs::MetricsRegistry::Global().GetCounter(
         "pstorm_match_index_deletes_total");
     deletes.Increment();
@@ -703,52 +686,45 @@ void ProfileStore::IndexPutLocked(const std::string& job_key,
   // The in-memory doubles and the %.17g-encoded table columns round-trip
   // bit-exactly, so the incrementally maintained index and one rebuilt
   // from the rows are identical (the crash tests assert exactly this).
-  index_->Put(job_key, profile.map_side.DynamicVector(),
-              profile.map_side.CostVector(),
-              profile.reduce_side.DynamicVector(),
-              profile.reduce_side.CostVector());
+  index_.Put(job_key, profile.map_side.DynamicVector(),
+             profile.map_side.CostVector(),
+             profile.reduce_side.DynamicVector(),
+             profile.reduce_side.CostVector());
   static obs::Counter& puts = obs::MetricsRegistry::Global().GetCounter(
       "pstorm_match_index_puts_total");
   puts.Increment();
 }
 
-bool ProfileStore::match_index_ready() const {
-  std::shared_lock<std::shared_mutex> lock(index_mu_);
-  return index_ != nullptr && index_ready_;
-}
-
 size_t ProfileStore::match_index_size(Side side) const {
   std::shared_lock<std::shared_mutex> lock(index_mu_);
-  return index_ == nullptr ? 0 : index_->size(static_cast<int>(side));
+  return index_.size(static_cast<int>(side));
 }
 
 std::vector<std::pair<std::string, std::vector<double>>>
 ProfileStore::MatchIndexDynamicSnapshot(Side side) const {
   std::shared_lock<std::shared_mutex> lock(index_mu_);
-  if (index_ == nullptr) return {};
-  return index_->dynamic_space(static_cast<int>(side)).Snapshot();
+  return index_.dynamic_space(static_cast<int>(side)).Snapshot();
 }
 
 std::vector<std::pair<std::string, std::vector<double>>>
 ProfileStore::MatchIndexCostSnapshot(Side side) const {
   std::shared_lock<std::shared_mutex> lock(index_mu_);
-  if (index_ == nullptr) return {};
-  return index_->cost_space(static_cast<int>(side)).Snapshot();
+  return index_.cost_space(static_cast<int>(side)).Snapshot();
 }
 
-Result<std::vector<std::string>> ProfileStore::IndexedDynamicScan(
-    Side side, const std::vector<double>& probe, double theta,
+std::vector<std::string> ProfileStore::EuclideanCandidates(
+    Side side, Space space, const std::vector<double>& probe, double theta,
     VectorSpaceIndex::QueryStats* stats) const {
-  const FeatureBounds bounds = DynamicBounds(side);
+  const bool dynamic = space == Space::kDynamic;
+  const FeatureBounds bounds = dynamic ? DynamicBounds(side) : CostBounds(side);
   const std::vector<double> ranges = EffectiveRanges(bounds.mins, bounds.maxs);
   VectorSpaceIndex::QueryStats local;
   VectorSpaceIndex::QueryStats& q = stats != nullptr ? *stats : local;
+  const int s = static_cast<int>(side);
   std::shared_lock<std::shared_mutex> lock(index_mu_);
-  if (index_ == nullptr || !index_ready_) {
-    return Status::FailedPrecondition("match index not ready");
-  }
-  auto out = index_->DynamicLookup(static_cast<int>(side), probe, theta,
-                                   bounds.mins, ranges, &q);
+  auto out = (dynamic ? index_.dynamic_space(s) : index_.cost_space(s))
+                 .Lookup(probe, theta, bounds.mins, ranges, &q);
+  lock.unlock();
   static obs::Counter& lookups = obs::MetricsRegistry::Global().GetCounter(
       "pstorm_match_index_lookups_total");
   static obs::Counter& candidates = obs::MetricsRegistry::Global().GetCounter(
@@ -758,28 +734,6 @@ Result<std::vector<std::string>> ProfileStore::IndexedDynamicScan(
   lookups.Increment();
   candidates.Add(q.candidates_enumerated);
   pruned.Add(q.cells_pruned);
-  return out;
-}
-
-Result<std::vector<std::string>> ProfileStore::IndexedCostScan(
-    Side side, const std::vector<double>& probe, double theta,
-    VectorSpaceIndex::QueryStats* stats) const {
-  const FeatureBounds bounds = CostBounds(side);
-  const std::vector<double> ranges = EffectiveRanges(bounds.mins, bounds.maxs);
-  VectorSpaceIndex::QueryStats local;
-  VectorSpaceIndex::QueryStats& q = stats != nullptr ? *stats : local;
-  std::shared_lock<std::shared_mutex> lock(index_mu_);
-  if (index_ == nullptr || !index_ready_) {
-    return Status::FailedPrecondition("match index not ready");
-  }
-  auto out = index_->CostLookup(static_cast<int>(side), probe, theta,
-                                bounds.mins, ranges, &q);
-  static obs::Counter& lookups = obs::MetricsRegistry::Global().GetCounter(
-      "pstorm_match_index_lookups_total");
-  static obs::Counter& candidates = obs::MetricsRegistry::Global().GetCounter(
-      "pstorm_match_index_candidates_total");
-  lookups.Increment();
-  candidates.Add(q.candidates_enumerated);
   return out;
 }
 

@@ -25,6 +25,11 @@ namespace pstorm::core {
 /// workflow of Figure 4.4 runs once per side).
 enum class Side { kMap, kReduce };
 
+/// Which vector a Euclidean filter compares: the Table 4.1 dynamic
+/// statistics (stage 1 of Figure 4.4) or the Table 4.2 cost factors (the
+/// alternative filter).
+enum class Space { kDynamic, kCost };
+
 /// One stored job: its complete execution profile and static features.
 struct StoredEntry {
   std::string job_key;
@@ -51,10 +56,9 @@ struct FeatureBounds {
   std::vector<double> Normalize(const std::vector<double>& values) const;
 };
 
-/// Store-level configuration: the backing table's options plus the
-/// secondary match index and ingest knobs. Implicitly constructible from
-/// bare HTableOptions so call sites that only configure the table keep
-/// working (and get the index defaults).
+/// Store-level configuration: the backing table's options plus the ingest
+/// knob. Implicitly constructible from bare HTableOptions so call sites
+/// that only configure the table keep working.
 struct ProfileStoreOptions {
   ProfileStoreOptions() = default;
   // NOLINTNEXTLINE(google-explicit-constructor)
@@ -64,18 +68,6 @@ struct ProfileStoreOptions {
   /// The backing hstore table (region split size, read-only mode,
   /// DbOptions::maintenance_pool, ...).
   hstore::HTableOptions table;
-
-  /// Maintain the in-memory secondary match index (DESIGN.md §13). Off,
-  /// every stage-1 lookup falls back to the exhaustive region scan.
-  bool enable_match_index = true;
-  /// Band count / cell width of the index (MatchIndexOptions).
-  int index_bands = 1;
-  double index_cell_width = 0.5;
-  /// Rebuild the index from the table at Open. When disabled on a
-  /// non-empty store the index starts not-ready and stage 1 keeps using
-  /// the exhaustive scan (ablation / fast-open knob); incremental
-  /// maintenance still runs so a store opened empty stays indexed.
-  bool index_rebuild_on_open = true;
 
   /// Flush the backing table after every PutProfile (profiles are
   /// precious: each one costs a full profiled run). Bulk loaders turn
@@ -101,14 +93,17 @@ struct ProfileStoreOptions {
 /// sharded decoded-entry cache; mutations (PutProfile/DeleteProfile)
 /// additionally serialize on an internal write mutex so the multi-row
 /// writes of one profile are never interleaved with another's and the
-/// profile count stays exact. Normalization bounds are read under a shared
-/// lock and only ever widen.
+/// profile count stays exact. Normalization bounds and the match index are
+/// read under shared locks; bounds only ever widen.
 class ProfileStore {
  public:
   /// `options` configures the backing table (notably
   /// DbOptions::maintenance_pool, which moves region flushes/compactions
-  /// off the PutProfile path onto a background scheduler) and the
-  /// secondary match index.
+  /// off the PutProfile path onto a background scheduler). Open rebuilds
+  /// the match index from the table's Dynamic rows. An error in that
+  /// rebuild fails the open, except a Corruption: that is logged, counted
+  /// in pstorm_match_index_rebuild_failures_total, and the store serves
+  /// from an empty index that later puts fill.
   static Result<std::unique_ptr<ProfileStore>> Open(
       storage::Env* env, std::string path, ProfileStoreOptions options = {});
 
@@ -160,60 +155,48 @@ class ProfileStore {
   /// Normalization bounds of the side's cost-factor vector.
   FeatureBounds CostBounds(Side side) const;
 
-  /// Stage-1 filter of Figure 4.4, pushed down to the regions: job keys
-  /// whose normalized side-dynamic features lie within Euclidean distance
-  /// `theta` of `probe`. `server_side=false` ships every row to the
-  /// client first (the §5.3 ablation).
+  /// The Euclidean filters of Figure 4.4, served by the in-memory match
+  /// index (DESIGN.md §13): job keys whose normalized side vector in
+  /// `space` lies within Euclidean distance `theta` of `probe`, sorted.
+  /// Stage 1 uses kDynamic; the alternative filter uses kCost. Returns
+  /// exactly what DynamicEuclideanScan / CostEuclideanScan return, but
+  /// enumerates only the cells near the probe (dynamic space) and
+  /// verifies the candidates with the vectorized kernel instead of
+  /// scanning every Dynamic row.
+  std::vector<std::string> EuclideanCandidates(
+      Side side, Space space, const std::vector<double>& probe, double theta,
+      VectorSpaceIndex::QueryStats* stats = nullptr) const;
+
+  /// The same filters as region scans pushed down to the regions, the
+  /// thesis's own plan (§5.3). They serve as the differential oracle of
+  /// EuclideanCandidates in tests and, with `server_side=false` (every
+  /// row shipped to the client first), as the §5.3 ablation.
   Result<std::vector<std::string>> DynamicEuclideanScan(
       Side side, const std::vector<double>& probe, double theta,
       bool server_side = true, hstore::ScanStats* stats = nullptr) const;
-
-  /// The alternative filter: same, over the side's cost factors.
   Result<std::vector<std::string>> CostEuclideanScan(
       Side side, const std::vector<double>& probe, double theta,
       bool server_side = true, hstore::ScanStats* stats = nullptr) const;
-
-  /// Whether the secondary match index covers every stored profile (it
-  /// was rebuilt at Open, or the store opened empty, and has been
-  /// maintained incrementally since). When false the matcher must use the
-  /// exhaustive scans; the indexed scans return FailedPrecondition.
-  bool match_index_ready() const;
 
   /// Profiles currently in the side's dynamic index space
   /// (tests/diagnostics).
   size_t match_index_size(Side side) const;
 
-  /// The index-backed equivalent of DynamicEuclideanScan: same key set,
-  /// same (lexicographic) order, but enumerating only bucket-colliding
-  /// candidates and verifying them with the vectorized kernel instead of
-  /// scanning every Dynamic row. FailedPrecondition when the index is
-  /// disabled or not ready.
-  Result<std::vector<std::string>> IndexedDynamicScan(
-      Side side, const std::vector<double>& probe, double theta,
-      VectorSpaceIndex::QueryStats* stats = nullptr) const;
-
-  /// The index-backed equivalent of CostEuclideanScan (a vectorized
-  /// full sweep of the in-memory cost vectors — the fallback filter has
-  /// no buckets).
-  Result<std::vector<std::string>> IndexedCostScan(
-      Side side, const std::vector<double>& probe, double theta,
-      VectorSpaceIndex::QueryStats* stats = nullptr) const;
-
   /// (job key, raw vector) of every member of the side's dynamic / cost
   /// index space, sorted by key. The index's cell structure is a pure
   /// function of these values, so snapshot equality implies index
   /// equality — the crash tests compare the incrementally-maintained
-  /// index against a fresh rebuild with this. Empty when disabled.
+  /// index against a fresh rebuild with this.
   std::vector<std::pair<std::string, std::vector<double>>>
   MatchIndexDynamicSnapshot(Side side) const;
   std::vector<std::pair<std::string, std::vector<double>>>
   MatchIndexCostSnapshot(Side side) const;
 
   /// Drops and rebuilds the match index from the table's Dynamic rows
-  /// (what Open does when index_rebuild_on_open is set). Rows that are
-  /// unreadable or malformed are skipped — exactly the rows the
-  /// exhaustive filters reject — so the rebuilt index stays equivalent to
-  /// the scans even over a store degraded by quarantine.
+  /// (what Open does). Rows that are unreadable or malformed are skipped —
+  /// exactly the rows the exhaustive filters reject — so the rebuilt index
+  /// stays equivalent to the scans even over a store degraded by
+  /// quarantine. On error the index is left as it was.
   Status RebuildMatchIndex();
 
   /// Persists the normalization bounds and flushes the backing table (for
@@ -352,15 +335,12 @@ class ProfileStore {
   static constexpr size_t kCacheShards = 16;
   mutable std::array<CacheShard, kCacheShards> entry_cache_;
 
-  /// The secondary match index (null when disabled). Guarded by
-  /// index_mu_: exclusive for maintenance (under write_mu_, extending the
-  /// lock order to write_mu_ → index_mu_), shared for lookups.
-  /// index_ready_ flips true once the index provably covers every stored
-  /// profile (rebuilt at Open, or the store opened empty) and never flips
-  /// back: incremental maintenance keeps it complete from then on.
+  /// The match index, rebuilt at Open and maintained by every put and
+  /// delete. Guarded by index_mu_: exclusive for maintenance (under
+  /// write_mu_, extending the lock order to write_mu_ → index_mu_), shared
+  /// for lookups.
   mutable std::shared_mutex index_mu_;
-  std::unique_ptr<MatchIndex> index_;
-  bool index_ready_ = false;
+  MatchIndex index_;
 };
 
 /// Column names of the side's dynamic features / cost factors, in vector

@@ -20,8 +20,7 @@ struct PStormOptions {
   /// Passed through to the profile store: the backing table (set
   /// store.table.db_options.maintenance_pool to move region
   /// flushes/compactions off the SubmitJob path onto the background
-  /// scheduler) plus the secondary match index knobs (index_bands,
-  /// index_rebuild_on_open, ...).
+  /// scheduler) and the ingest knob.
   ProfileStoreOptions store;
 };
 
@@ -41,8 +40,8 @@ struct PStormOptions {
 /// works on its own SubmissionContext (sample, probe, matcher, CBO); the
 /// only shared mutable state is the ProfileStore, which synchronizes
 /// internally. Matching runs against whatever profiles are visible when
-/// the probe's scans execute, exactly as in a shared-cluster deployment
-/// where submissions race.
+/// the probe's store lookups execute, exactly as in a shared-cluster
+/// deployment where submissions race.
 class PStorM {
  public:
   /// `simulator` and `env` must outlive the instance. `store_path` roots

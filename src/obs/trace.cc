@@ -51,9 +51,6 @@ std::string SubmissionTrace::ToString() const {
       << " entry_gets=" << store.entry_gets << " cache_hits="
       << store.entry_cache_hits << " cache_misses="
       << store.entry_cache_misses;
-  if (store.regions_recovered_empty > 0) {
-    out << " regions_recovered_empty=" << store.regions_recovered_empty;
-  }
   if (store.profiles_put > 0) out << " profiles_put=" << store.profiles_put;
   out << "\n";
   if (!cbo.rounds.empty() || cbo.candidates_evaluated > 0) {

@@ -33,14 +33,14 @@ struct SideTrace {
 };
 
 /// Store-side effort for one submission, accumulated across both sides.
-/// Stage 1 counts as scans (an index lookup's verified candidates count as
-/// rows scanned); stages 2-3 and the tie-break count as entry gets, one
-/// per candidate decoded or served from the entry cache.
+/// Each match-index lookup (stage 1, the alternative filter) counts as a
+/// scan whose verified candidates count as rows scanned; stages 2-3 and
+/// the tie-break count as entry gets, one per candidate decoded or served
+/// from the entry cache.
 struct StoreOpsTrace {
   uint64_t scans = 0;
   uint64_t rows_scanned = 0;
   uint64_t rows_returned = 0;
-  uint64_t regions_recovered_empty = 0;
   uint64_t entry_gets = 0;
   uint64_t entry_cache_hits = 0;
   uint64_t entry_cache_misses = 0;

@@ -1,8 +1,8 @@
 // Crash coverage of the secondary match index (DESIGN.md §13): at every
 // mutation boundary a profile-store workload crosses, and after sstable
 // bit-rot quarantine, the index rebuilt on reopen must (a) be identical
-// to one maintained incrementally from that state on, and (b) keep the
-// indexed scans exactly equal to the exhaustive scans over whatever rows
+// to one maintained incrementally from that state on, and (b) keep
+// EuclideanCandidates exactly equal to the region scans over whatever rows
 // survived.
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/profile_store.h"
+#include "obs/metrics.h"
 #include "storage/env.h"
 #include "tools/synthetic_corpus.h"
 
@@ -28,6 +29,13 @@ ProfileStoreOptions BulkOptions() {
   options.table.db_options.memtable_flush_bytes = 4096;
   options.table.db_options.l0_compaction_trigger = 3;
   return options;
+}
+
+/// Open's rebuilds that degraded to an empty index under corruption.
+uint64_t RebuildFailures() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("pstorm_match_index_rebuild_failures_total")
+      .Value();
 }
 
 /// The mutation workload whose every boundary we crash at: puts, a
@@ -52,12 +60,10 @@ void RunWorkload(ProfileStore* store, const tools::SyntheticCorpus& corpus) {
 }
 
 /// After any recovery: the reopened store's index must equal a fresh
-/// rebuild even after more incremental mutations, and the indexed scans
-/// must equal the exhaustive scans.
+/// rebuild even after more incremental mutations, and EuclideanCandidates
+/// must equal the region scans.
 void ExpectIndexIntegrity(ProfileStore* store,
                           const tools::SyntheticCorpus& corpus) {
-  ASSERT_TRUE(store->match_index_ready());
-
   // Continue mutating incrementally on top of the recovered state.
   for (size_t i = 20; i < 26; ++i) {
     const auto p = corpus.Make(i);
@@ -88,17 +94,17 @@ void ExpectIndexIntegrity(ProfileStore* store,
       const double theta =
           0.5 * std::sqrt(static_cast<double>(dynamic.size()));
       auto exhaustive = store->DynamicEuclideanScan(side, dynamic, theta);
-      auto indexed = store->IndexedDynamicScan(side, dynamic, theta);
       ASSERT_TRUE(exhaustive.ok()) << exhaustive.status();
-      ASSERT_TRUE(indexed.ok()) << indexed.status();
-      EXPECT_EQ(*indexed, *exhaustive);
+      EXPECT_EQ(store->EuclideanCandidates(side, Space::kDynamic, dynamic,
+                                           theta),
+                *exhaustive);
     }
   }
 }
 
 /// Tentpole crash coverage: schedule a crash at the Nth env mutation for
 /// every N the workload reaches. Reopening over the surviving bytes must
-/// always yield a ready index with full integrity.
+/// always rebuild the whole index, with full integrity.
 TEST(MatchIndexCrashTest, CrashAtEveryMutationRebuildsEquivalentIndex) {
   tools::SyntheticCorpusOptions corpus_options;
   corpus_options.num_profiles = 30;
@@ -130,8 +136,10 @@ TEST(MatchIndexCrashTest, CrashAtEveryMutationRebuildsEquivalentIndex) {
       RunWorkload(store->get(), corpus);
     }
     fault.ClearFaults();  // Reboot.
+    const uint64_t failures = RebuildFailures();
     auto reopened = ProfileStore::Open(&fault, "/s", BulkOptions());
     ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(RebuildFailures(), failures);
     ExpectIndexIntegrity(reopened->get(), corpus);
   }
 }
@@ -173,9 +181,11 @@ TEST(MatchIndexCrashTest, IndexSurvivesSstableQuarantine) {
   }
   ASSERT_EQ(corrupted, 1u);
 
+  const uint64_t failures = RebuildFailures();
   auto reopened = ProfileStore::Open(&env, "/s", BulkOptions());
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_GE((*reopened)->StorageStats().quarantined_files, 1u);
+  EXPECT_EQ(RebuildFailures(), failures);
   ExpectIndexIntegrity(reopened->get(), corpus);
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "core/matcher.h"
 #include "core/profile_store.h"
 #include "storage/env.h"
 #include "tools/synthetic_corpus.h"
@@ -43,7 +42,7 @@ std::vector<std::string> BruteForce(
 }
 
 TEST(VectorSpaceIndexTest, PutDeleteReplaceAndSize) {
-  VectorSpaceIndex index(3, /*bucketed=*/true, MatchIndexOptions{});
+  VectorSpaceIndex index(3, /*bucketed=*/true);
   EXPECT_EQ(index.size(), 0u);
   index.Put("a", {1, 2, 3});
   index.Put("b", {4, 5, 6});
@@ -61,7 +60,7 @@ TEST(VectorSpaceIndexTest, PutDeleteReplaceAndSize) {
 }
 
 TEST(VectorSpaceIndexTest, SnapshotIsSortedAndReflectsReplacement) {
-  VectorSpaceIndex index(2, true, MatchIndexOptions{});
+  VectorSpaceIndex index(2, true);
   index.Put("z", {1, 1});
   index.Put("a", {2, 2});
   index.Put("m", {3, 3});
@@ -76,53 +75,48 @@ TEST(VectorSpaceIndexTest, SnapshotIsSortedAndReflectsReplacement) {
 
 /// The core exactness property, fuzzed: for random members (spanning
 /// magnitudes, signs, zeros) and random probes/thetas, the bucketed
-/// lookup returns exactly the brute-force set, in sorted order, for any
-/// band count.
-TEST(VectorSpaceIndexTest, LookupMatchesBruteForceAcrossBandCounts) {
+/// lookup returns exactly the brute-force set, in sorted order.
+TEST(VectorSpaceIndexTest, LookupMatchesBruteForce) {
   Rng rng(20240807);
-  for (int bands = 1; bands <= 4; ++bands) {
-    MatchIndexOptions options;
-    options.bands = bands;
-    const size_t dims = 4;
-    VectorSpaceIndex index(dims, true, options);
-    std::vector<std::pair<std::string, std::vector<double>>> members;
-    for (int i = 0; i < 300; ++i) {
-      std::vector<double> v(dims);
-      for (auto& x : v) {
-        const double magnitude = std::pow(10.0, rng.Uniform(-3, 9));
-        x = (rng.Bernoulli(0.2) ? -1 : 1) * magnitude;
-        if (rng.Bernoulli(0.05)) x = 0;
-      }
-      const std::string key = "m" + std::to_string(i);
-      index.Put(key, v);
-      members.emplace_back(key, v);
+  const size_t dims = 4;
+  VectorSpaceIndex index(dims, true);
+  std::vector<std::pair<std::string, std::vector<double>>> members;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<double> v(dims);
+    for (auto& x : v) {
+      const double magnitude = std::pow(10.0, rng.Uniform(-3, 9));
+      x = (rng.Bernoulli(0.2) ? -1 : 1) * magnitude;
+      if (rng.Bernoulli(0.05)) x = 0;
     }
-    // Normalization bounds as the store would compute them.
-    std::vector<double> mins(dims, std::numeric_limits<double>::infinity());
-    std::vector<double> maxs(dims, -std::numeric_limits<double>::infinity());
-    for (const auto& [key, v] : members) {
-      for (size_t d = 0; d < dims; ++d) {
-        mins[d] = std::min(mins[d], v[d]);
-        maxs[d] = std::max(maxs[d], v[d]);
-      }
+    const std::string key = "m" + std::to_string(i);
+    index.Put(key, v);
+    members.emplace_back(key, v);
+  }
+  // Normalization bounds as the store would compute them.
+  std::vector<double> mins(dims, std::numeric_limits<double>::infinity());
+  std::vector<double> maxs(dims, -std::numeric_limits<double>::infinity());
+  for (const auto& [key, v] : members) {
+    for (size_t d = 0; d < dims; ++d) {
+      mins[d] = std::min(mins[d], v[d]);
+      maxs[d] = std::max(maxs[d], v[d]);
     }
-    const std::vector<double> ranges = EffectiveRanges(mins, maxs);
-    for (int q = 0; q < 50; ++q) {
-      const auto& probe = members[rng.NextUint64(members.size())].second;
-      const double theta = rng.Uniform(0.0, 1.2);
-      VectorSpaceIndex::QueryStats stats;
-      const auto got = index.Lookup(probe, theta, mins, ranges, &stats);
-      const auto want = BruteForce(members, probe, theta, mins, ranges);
-      ASSERT_EQ(got, want) << "bands=" << bands << " theta=" << theta;
-      EXPECT_EQ(stats.candidates_returned, got.size());
-    }
+  }
+  const std::vector<double> ranges = EffectiveRanges(mins, maxs);
+  for (int q = 0; q < 200; ++q) {
+    const auto& probe = members[rng.NextUint64(members.size())].second;
+    const double theta = rng.Uniform(0.0, 1.2);
+    VectorSpaceIndex::QueryStats stats;
+    const auto got = index.Lookup(probe, theta, mins, ranges, &stats);
+    const auto want = BruteForce(members, probe, theta, mins, ranges);
+    ASSERT_EQ(got, want) << "theta=" << theta;
+    EXPECT_EQ(stats.candidates_returned, got.size());
   }
 }
 
 TEST(VectorSpaceIndexTest, ScanOnlySpaceMatchesBruteForce) {
   Rng rng(7);
   const size_t dims = 5;
-  VectorSpaceIndex index(dims, /*bucketed=*/false, MatchIndexOptions{});
+  VectorSpaceIndex index(dims, /*bucketed=*/false);
   std::vector<std::pair<std::string, std::vector<double>>> members;
   std::vector<double> mins(dims, 0.0), maxs(dims, 0.0);
   for (int i = 0; i < 100; ++i) {
@@ -146,7 +140,7 @@ TEST(VectorSpaceIndexTest, ScanOnlySpaceMatchesBruteForce) {
 }
 
 TEST(VectorSpaceIndexTest, NanMembersNeverMatch) {
-  VectorSpaceIndex index(2, true, MatchIndexOptions{});
+  VectorSpaceIndex index(2, true);
   index.Put("good", {1.0, 2.0});
   index.Put("nan", {std::numeric_limits<double>::quiet_NaN(), 2.0});
   const std::vector<double> mins{0.0, 0.0};
@@ -169,12 +163,13 @@ TEST(MatchIndexTest, WrongLengthVectorDropsOnlyThatSpace) {
   EXPECT_EQ(index.cost_space(MatchIndex::kReduce).size(), 1u);
 }
 
-/// Store-level equivalence: the indexed scans must return the exhaustive
+/// Store-level equivalence: EuclideanCandidates must return the region
 /// scans' exact key lists on a synthetic corpus, across sides, spaces,
 /// and thetas — including after deletes.
 class MatchIndexStoreTest : public ::testing::Test {
  protected:
-  void LoadCorpus(size_t n, ProfileStoreOptions options = {}) {
+  void LoadCorpus(size_t n) {
+    ProfileStoreOptions options;
     options.eager_flush = false;
     auto store = ProfileStore::Open(&env_, "/index-store", options);
     PSTORM_CHECK_OK(store.status());
@@ -198,19 +193,19 @@ class MatchIndexStoreTest : public ::testing::Test {
             (0.2 + 0.3 * (i % 5));
         auto exhaustive =
             store_->DynamicEuclideanScan(side, side_profile, theta);
-        auto indexed = store_->IndexedDynamicScan(side, side_profile, theta);
         ASSERT_TRUE(exhaustive.ok()) << exhaustive.status();
-        ASSERT_TRUE(indexed.ok()) << indexed.status();
-        EXPECT_EQ(*indexed, *exhaustive) << "side " << static_cast<int>(side);
+        EXPECT_EQ(store_->EuclideanCandidates(side, Space::kDynamic,
+                                              side_profile, theta),
+                  *exhaustive)
+            << "side " << static_cast<int>(side);
 
         const auto& costs = side == Side::kMap
                                 ? probe.profile.map_side.CostVector()
                                 : probe.profile.reduce_side.CostVector();
         auto cost_exhaustive = store_->CostEuclideanScan(side, costs, theta);
-        auto cost_indexed = store_->IndexedCostScan(side, costs, theta);
         ASSERT_TRUE(cost_exhaustive.ok()) << cost_exhaustive.status();
-        ASSERT_TRUE(cost_indexed.ok()) << cost_indexed.status();
-        EXPECT_EQ(*cost_indexed, *cost_exhaustive);
+        EXPECT_EQ(store_->EuclideanCandidates(side, Space::kCost, costs, theta),
+                  *cost_exhaustive);
       }
     }
   }
@@ -222,7 +217,6 @@ class MatchIndexStoreTest : public ::testing::Test {
 
 TEST_F(MatchIndexStoreTest, IndexedScansEqualExhaustiveScans) {
   LoadCorpus(400);
-  ASSERT_TRUE(store_->match_index_ready());
   EXPECT_EQ(store_->match_index_size(Side::kMap), 400u);
   ExpectScanEquivalence(25);
 }
@@ -238,81 +232,6 @@ TEST_F(MatchIndexStoreTest, EquivalenceSurvivesDeletesAndReplacements) {
         store_->PutProfile(corpus_->Make(i).job_key, p.profile, p.statics));
   }
   ExpectScanEquivalence(25);
-}
-
-TEST_F(MatchIndexStoreTest, RebuildOnOpenDisabledFallsBackUntilRebuilt) {
-  LoadCorpus(50);
-  PSTORM_CHECK_OK(store_->Flush());
-  store_.reset();
-
-  ProfileStoreOptions options;
-  options.index_rebuild_on_open = false;
-  auto reopened = ProfileStore::Open(&env_, "/index-store", options);
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_FALSE((*reopened)->match_index_ready());
-  const auto probe = corpus_->MakeProbe(0);
-  auto indexed = (*reopened)
-                     ->IndexedDynamicScan(
-                         Side::kMap, probe.profile.map_side.DynamicVector(),
-                         1.0);
-  EXPECT_EQ(indexed.status().code(), StatusCode::kFailedPrecondition);
-  // The exhaustive path still serves.
-  auto exhaustive = (*reopened)
-                        ->DynamicEuclideanScan(
-                            Side::kMap,
-                            probe.profile.map_side.DynamicVector(), 1.0);
-  EXPECT_TRUE(exhaustive.ok());
-
-  PSTORM_CHECK_OK((*reopened)->RebuildMatchIndex());
-  EXPECT_TRUE((*reopened)->match_index_ready());
-  store_ = std::move(reopened).value();
-  ExpectScanEquivalence(10);
-}
-
-TEST_F(MatchIndexStoreTest, DisabledIndexNeverReady) {
-  ProfileStoreOptions options;
-  options.enable_match_index = false;
-  LoadCorpus(20, options);
-  EXPECT_FALSE(store_->match_index_ready());
-  EXPECT_EQ(store_->match_index_size(Side::kMap), 0u);
-  const auto probe = corpus_->MakeProbe(0);
-  EXPECT_EQ(store_
-                ->IndexedDynamicScan(Side::kMap,
-                                     probe.profile.map_side.DynamicVector(),
-                                     1.0)
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-}
-
-/// The matcher must produce the identical MatchResult with the index on
-/// and off — same sources, same paths, same funnel counts.
-TEST_F(MatchIndexStoreTest, MatcherResultsIdenticalWithAndWithoutIndex) {
-  LoadCorpus(300);
-  for (size_t i = 0; i < 40; ++i) {
-    const auto probe_profile = corpus_->MakeProbe(i * 7 % corpus_->size());
-    const JobFeatureVector probe =
-        BuildFeatureVector(probe_profile.profile, probe_profile.statics);
-
-    MatchOptions with_index;
-    with_index.use_index = true;
-    MatchOptions without_index;
-    without_index.use_index = false;
-    const auto a = MultiStageMatcher(store_.get(), with_index).Match(probe);
-    const auto b = MultiStageMatcher(store_.get(), without_index).Match(probe);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_EQ(a->found, b->found);
-    EXPECT_EQ(a->map_source, b->map_source);
-    EXPECT_EQ(a->reduce_source, b->reduce_source);
-    EXPECT_EQ(a->composite, b->composite);
-    EXPECT_EQ(a->map_side.path, b->map_side.path);
-    EXPECT_EQ(a->reduce_side.path, b->reduce_side.path);
-    EXPECT_EQ(a->map_side.after_dynamic, b->map_side.after_dynamic);
-    EXPECT_EQ(a->map_side.after_cfg, b->map_side.after_cfg);
-    EXPECT_EQ(a->map_side.after_jaccard, b->map_side.after_jaccard);
-    EXPECT_EQ(a->reduce_side.after_dynamic, b->reduce_side.after_dynamic);
-  }
 }
 
 /// Incremental maintenance must leave the index exactly as a fresh

@@ -1,4 +1,4 @@
-// Scale-tier tests (ctest label "scale"): index-vs-exhaustive equivalence
+// Scale-tier tests (ctest label "scale"): index-vs-region-scan equivalence
 // and candidate-enumeration pruning on a large synthetic corpus.
 //
 // The corpus size comes from PSTORM_SCALE_PROFILES (default small so the
@@ -55,7 +55,6 @@ class MatcherScaleTest : public ::testing::Test {
       store_ = std::move(store).value();
       ASSERT_TRUE(corpus_->LoadInto(store_.get(), 0).ok());
     }
-    ASSERT_TRUE(store_->match_index_ready());
   }
 
   std::unique_ptr<tools::SyntheticCorpus> corpus_;
@@ -65,8 +64,8 @@ class MatcherScaleTest : public ::testing::Test {
 };
 
 /// The acceptance property at scale: for a spread of probes and thetas,
-/// the indexed stage-1 filter returns the exhaustive scan's exact key
-/// list (which implies the funnel's best match is identical — every later
+/// the indexed stage-1 filter returns the region scan's exact key list
+/// (which implies the funnel's best match is identical — every later
 /// stage is a deterministic function of the candidate list).
 TEST_F(MatcherScaleTest, IndexedScanEqualsExhaustiveScanAtScale) {
   const size_t n = corpus_->size();
@@ -80,40 +79,53 @@ TEST_F(MatcherScaleTest, IndexedScanEqualsExhaustiveScanAtScale) {
           0.5 * std::sqrt(static_cast<double>(dynamic.size())) *
           (0.1 + 0.25 * (q % 4));
       auto exhaustive = store_->DynamicEuclideanScan(side, dynamic, theta);
-      auto indexed = store_->IndexedDynamicScan(side, dynamic, theta);
       ASSERT_TRUE(exhaustive.ok()) << exhaustive.status();
-      ASSERT_TRUE(indexed.ok()) << indexed.status();
-      ASSERT_EQ(*indexed, *exhaustive)
+      ASSERT_EQ(store_->EuclideanCandidates(side, Space::kDynamic, dynamic,
+                                            theta),
+                *exhaustive)
           << "probe " << q << " side " << static_cast<int>(side);
     }
   }
 }
 
-/// The matcher end-to-end: the funnel's answer (sources, paths, counts)
-/// must not depend on the enumeration path at scale either.
-TEST_F(MatcherScaleTest, FunnelBestMatchIdenticalWithAndWithoutIndex) {
+/// Both Euclidean filters the funnel runs, at the thesis-default θ and on
+/// the probes the matcher would send: stage 1 over the dynamic features
+/// and the alternative filter over the cost factors, on both sides, must
+/// return the region scans' exact key lists. At this radius the answer is
+/// most of the store, the regime the selective sweep above leaves out.
+TEST_F(MatcherScaleTest, EuclideanCandidatesEqualRegionScansAtDefaultTheta) {
   const size_t n = corpus_->size();
   const size_t probes = std::min<size_t>(8, n);
   for (size_t q = 0; q < probes; ++q) {
     const auto probe_profile = corpus_->MakeProbe((q * 997) % n);
     const JobFeatureVector probe =
         BuildFeatureVector(probe_profile.profile, probe_profile.statics);
-    MatchOptions with_index;
-    with_index.use_index = true;
-    MatchOptions without_index;
-    without_index.use_index = false;
-    auto a = MultiStageMatcher(store_.get(), with_index).Match(probe);
-    auto b = MultiStageMatcher(store_.get(), without_index).Match(probe);
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_EQ(a->found, b->found);
-    EXPECT_EQ(a->map_source, b->map_source);
-    EXPECT_EQ(a->reduce_source, b->reduce_source);
-    EXPECT_EQ(a->composite, b->composite);
+    for (Side side : {Side::kMap, Side::kReduce}) {
+      const bool map = side == Side::kMap;
+      const auto& dynamic = map ? probe.map_dynamic : probe.reduce_dynamic;
+      const auto& costs = map ? probe.map_costs : probe.reduce_costs;
+      const double dynamic_theta =
+          0.5 * std::sqrt(static_cast<double>(dynamic.size()));
+      const double cost_theta =
+          0.5 * std::sqrt(static_cast<double>(costs.size()));
+      auto dynamic_scan =
+          store_->DynamicEuclideanScan(side, dynamic, dynamic_theta);
+      auto cost_scan = store_->CostEuclideanScan(side, costs, cost_theta);
+      ASSERT_TRUE(dynamic_scan.ok()) << dynamic_scan.status();
+      ASSERT_TRUE(cost_scan.ok()) << cost_scan.status();
+      EXPECT_EQ(store_->EuclideanCandidates(side, Space::kDynamic, dynamic,
+                                            dynamic_theta),
+                *dynamic_scan)
+          << "probe " << q << " side " << static_cast<int>(side);
+      EXPECT_EQ(store_->EuclideanCandidates(side, Space::kCost, costs,
+                                            cost_theta),
+                *cost_scan)
+          << "probe " << q << " side " << static_cast<int>(side);
+    }
   }
 }
 
-/// The sublinearity claim, asserted structurally: the banded cells must
+/// The sublinearity claim, asserted structurally: the cell grid must
 /// prune the candidate enumeration to a small fraction of the store for
 /// a typical stage-1 probe (the wall-clock claim lives in
 /// BM_MatcherFunnelAtScale; this guards the mechanism in CI).
@@ -130,9 +142,9 @@ TEST_F(MatcherScaleTest, IndexPrunesCandidateEnumeration) {
   for (size_t q = 0; q < probes; ++q) {
     const auto probe = corpus_->MakeProbe((q * 131) % n);
     VectorSpaceIndex::QueryStats stats;
-    auto indexed = store_->IndexedDynamicScan(
-        Side::kMap, probe.profile.map_side.DynamicVector(), theta, &stats);
-    ASSERT_TRUE(indexed.ok()) << indexed.status();
+    store_->EuclideanCandidates(Side::kMap, Space::kDynamic,
+                                probe.profile.map_side.DynamicVector(), theta,
+                                &stats);
     enumerated += stats.candidates_enumerated;
     returned += stats.candidates_returned;
   }

@@ -4,6 +4,7 @@
 
 #include "jobs/benchmark_jobs.h"
 #include "jobs/datasets.h"
+#include "obs/metrics.h"
 #include "profiler/profiler.h"
 #include "staticanalysis/cfg_matcher.h"
 
@@ -156,6 +157,39 @@ TEST_F(ProfileStoreTest, CorruptMetadataRecoveryIsCounted) {
   EXPECT_EQ(store->recovery_stats().bounds_resets, 1u);
   EXPECT_EQ(store->recovery_stats().count_resets, 1u);
   EXPECT_EQ(store->num_profiles(), 0u);
+}
+
+/// A match index that cannot be rebuilt under corruption degrades like the
+/// metadata above: the open succeeds, the failure is counted, and stage 1
+/// serves from an empty index that profiles stored after the reopen fill.
+TEST_F(ProfileStoreTest, CorruptDynamicRangeServesFromEmptyIndex) {
+  const StoredEntry wc = MakeEntry(jobs::WordCount(), jobs::kRandomText1Gb);
+  const StoredEntry sort = MakeEntry(jobs::Sort(), jobs::kTeraGen1Gb);
+  {
+    auto store = OpenStore("/ps-corrupt-dynamic");
+    ASSERT_TRUE(store->PutProfile(wc.job_key, wc.profile, wc.statics).ok());
+  }
+  // A raw bad cell key inside the Dynamic/ range kills the rebuild's scan.
+  {
+    auto db = storage::Db::Open(&env_, "/ps-corrupt-dynamic/region_0",
+                                storage::DbOptions{});
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE((*db)->Put("Dynamic/zzz-raw-bad-cell-key", "x").ok());
+    ASSERT_TRUE((*db)->Flush().ok());
+  }
+  obs::Counter& failures = obs::MetricsRegistry::Global().GetCounter(
+      "pstorm_match_index_rebuild_failures_total");
+  const uint64_t failures_before = failures.Value();
+  auto store = OpenStore("/ps-corrupt-dynamic");
+  EXPECT_EQ(failures.Value(), failures_before + 1);
+  EXPECT_EQ(store->match_index_size(Side::kMap), 0u);
+
+  ASSERT_TRUE(
+      store->PutProfile(sort.job_key, sort.profile, sort.statics).ok());
+  EXPECT_EQ(store->EuclideanCandidates(Side::kMap, Space::kDynamic,
+                                       sort.profile.map_side.DynamicVector(),
+                                       10.0),
+            std::vector<std::string>{sort.job_key});
 }
 
 TEST_F(ProfileStoreTest, DynamicEuclideanScanFiltersByDistance) {

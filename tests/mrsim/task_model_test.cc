@@ -266,6 +266,18 @@ class ConfigValidationTest
     : public ::testing::TestWithParam<std::pair<const char*, Configuration>> {
 };
 
+}  // namespace
+
+// gtest would otherwise print the name as a pointer, whose value changes
+// every run, into the ctest name of each case. Outside the anonymous
+// namespace, so that lookup through Configuration's namespace finds it.
+void PrintTo(const std::pair<const char*, Configuration>& param,
+             std::ostream* os) {
+  *os << param.first;
+}
+
+namespace {
+
 TEST_P(ConfigValidationTest, RejectsOutOfRangeValues) {
   EXPECT_TRUE(GetParam().second.Validate().IsInvalidArgument())
       << GetParam().first;

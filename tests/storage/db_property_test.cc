@@ -20,6 +20,18 @@ struct PropertyParams {
   size_t block_size;
 };
 
+std::string ParamName(const PropertyParams& p) {
+  return "seed" + std::to_string(p.seed) + "_mem" +
+         std::to_string(p.memtable_flush_bytes) + "_blk" +
+         std::to_string(p.block_size);
+}
+
+// gtest would otherwise print the struct's raw bytes, padding included,
+// into the ctest name of each case.
+void PrintTo(const PropertyParams& p, std::ostream* os) {
+  *os << ParamName(p);
+}
+
 class DbModelTest : public ::testing::TestWithParam<PropertyParams> {};
 
 TEST_P(DbModelTest, RandomOpsMatchModel) {
@@ -91,11 +103,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyParams{3, 256, 4, 64},
                       PropertyParams{4, 1 << 20, 4, 4096},
                       PropertyParams{5, 128, 2, 512}),
-    [](const auto& info) {
-      return "seed" + std::to_string(info.param.seed) + "_mem" +
-             std::to_string(info.param.memtable_flush_bytes) + "_blk" +
-             std::to_string(info.param.block_size);
-    });
+    [](const auto& info) { return ParamName(info.param); });
 
 class IteratorSeekPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -91,7 +91,6 @@ TEST(SyntheticCorpusTest, LoadIntoPopulatesStoreAndIndex) {
   const SyntheticCorpus corpus(corpus_options);
   ASSERT_TRUE(corpus.LoadInto(store->get(), 0).ok());
   EXPECT_EQ((*store)->num_profiles(), 100u);
-  EXPECT_TRUE((*store)->match_index_ready());
   EXPECT_EQ((*store)->match_index_size(core::Side::kMap), 100u);
 
   // The limit argument loads a prefix.
