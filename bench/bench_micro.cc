@@ -443,8 +443,8 @@ BENCHMARK(BM_WhatIfPredict);
 
 // ---------------------------------------------------------------- optimizer
 
-// The parallel CBO search: Arg is the thread count, so the Arg(4)/Arg(1)
-// real-time ratio is the headline speedup of the shared-thread-pool work.
+// One full CBO search at the default budget (~700 what-if calls), run on
+// the calling thread as every submission runs it.
 void BM_CboOptimize(benchmark::State& state) {
   const mrsim::Simulator sim(mrsim::ThesisCluster());
   const profiler::Profiler prof(&sim);
@@ -455,9 +455,7 @@ void BM_CboOptimize(benchmark::State& state) {
       prof.ProfileFullRun(job.spec, data, mrsim::Configuration{}, 1)
           .value()
           .profile;
-  optimizer::CostBasedOptimizer::Options options;
-  options.num_threads = static_cast<int>(state.range(0));
-  const optimizer::CostBasedOptimizer cbo(&engine, options);
+  const optimizer::CostBasedOptimizer cbo(&engine);
   int evaluated = 0;
   for (auto _ : state) {
     auto rec = cbo.Optimize(profile, data);
@@ -468,8 +466,6 @@ void BM_CboOptimize(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * evaluated);
 }
 BENCHMARK(BM_CboOptimize)
-    ->Arg(1)
-    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -706,10 +702,8 @@ void BM_ConcurrentSubmit(benchmark::State& state) {
   if (state.thread_index() == 0 && system == nullptr) {
     sim = new mrsim::Simulator(mrsim::ThesisCluster());
     env = new storage::InMemoryEnv();
+    // The default CBO budget, as RpcBenchServer serves with.
     core::PStormOptions options;
-    options.cbo.global_samples = 60;  // Keep one submission quick.
-    options.cbo.local_samples = 20;
-    options.cbo.refinement_rounds = 1;
     // Serve like production: store maintenance on the shared pool, off
     // the submission path.
     options.store.table.db_options.maintenance_pool = common::ThreadPool::Shared();

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <exception>
 
 namespace pstorm::common {
 
@@ -36,9 +35,8 @@ void ThreadPool::WorkerLoop() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      // Drain the queue even during shutdown so ~ThreadPool never strands
-      // a ParallelFor waiting on an iteration that was claimed but
-      // enqueued behind the shutdown flag.
+      // Drain the queue even during shutdown: the destructor promises to
+      // run every task already scheduled.
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
@@ -51,87 +49,6 @@ ThreadPool* ThreadPool::Shared() {
   static ThreadPool* pool =
       new ThreadPool(std::max(1u, std::thread::hardware_concurrency()));
   return pool;
-}
-
-namespace {
-
-/// Shared bookkeeping of one ParallelFor call. Heap-allocated and owned
-/// jointly by the caller and the helper tasks: helpers that get dequeued
-/// after the range is exhausted (or after an abort) see `next >= end` and
-/// exit without ever touching `body`, which may be gone by then.
-struct ParallelForState {
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t next;
-  size_t end;
-  size_t active = 0;  // Iterations claimed and currently running.
-  bool abort = false;
-  std::exception_ptr error;
-  const std::function<void(size_t)>* body;  // Valid only while claimable.
-};
-
-void DrainIterations(const std::shared_ptr<ParallelForState>& state) {
-  for (;;) {
-    size_t index;
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (state->abort || state->next >= state->end) return;
-      index = state->next++;
-      ++state->active;
-    }
-    try {
-      (*state->body)(index);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (!state->error) state->error = std::current_exception();
-      state->abort = true;
-    }
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      --state->active;
-      if (state->active == 0 &&
-          (state->abort || state->next >= state->end)) {
-        state->cv.notify_all();
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body,
-                 size_t max_parallelism) {
-  if (begin >= end) return;
-  const size_t n = end - begin;
-  size_t parallelism =
-      max_parallelism == 0
-          ? (pool == nullptr ? 1 : pool->num_threads())
-          : max_parallelism;
-  parallelism = std::min(parallelism, n);
-  if (pool == nullptr || parallelism <= 1) {
-    for (size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-
-  auto state = std::make_shared<ParallelForState>();
-  state->next = begin;
-  state->end = end;
-  state->body = &body;
-  // The calling thread counts toward the parallelism budget and works the
-  // same claim loop as the helpers, so a ParallelFor issued from inside a
-  // pool task still completes even when every worker is busy.
-  for (size_t i = 0; i + 1 < parallelism; ++i) {
-    pool->Schedule([state] { DrainIterations(state); });
-  }
-  DrainIterations(state);
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&state] {
-    return state->active == 0 &&
-           (state->abort || state->next >= state->end);
-  });
-  if (state->error) std::rethrow_exception(state->error);
 }
 
 }  // namespace pstorm::common

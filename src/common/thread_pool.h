@@ -16,11 +16,11 @@
 namespace pstorm::common {
 
 /// A fixed-size worker pool. Tasks are plain closures executed FIFO by the
-/// next free worker. The pool is the process-wide substrate for
-/// CPU-parallel work (the CBO search today; batch matching and sharded
-/// scans later), so tasks must never *block on* other pool tasks —
-/// ParallelFor below shows the pattern that stays deadlock-free: the
-/// submitting thread participates in the work instead of waiting idle.
+/// next free worker. It is the RPC server's request-worker pool, and it
+/// runs background flushes and compactions when passed as
+/// `storage::DbOptions::maintenance_pool`. Tasks must never *block on*
+/// other pool tasks: with every worker waiting, nothing is left to run
+/// what they wait for.
 ///
 /// Schedule/Submit are thread-safe, including from inside a running pool
 /// task (nested submission enqueues; it never runs inline and never
@@ -64,27 +64,6 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
 };
-
-/// Runs `body(i)` for every i in [begin, end), spreading the iterations
-/// across `pool` while the calling thread works too, and returns when all
-/// claimed iterations have finished. At most `max_parallelism` threads
-/// (0 = the pool size, calling thread included) process iterations
-/// concurrently.
-///
-/// Semantics:
-///  - An empty range returns immediately without touching the pool.
-///  - `pool == nullptr` (or max_parallelism == 1) runs serially inline.
-///  - If any `body` throws, unclaimed iterations are abandoned, already
-///    running ones finish, and the first captured exception is rethrown on
-///    the calling thread.
-///  - Safe to call from inside a pool task: the caller drains iterations
-///    itself and never waits on queued helpers, so nesting cannot
-///    deadlock.
-///
-/// `body` must be safe to invoke concurrently from multiple threads.
-void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body,
-                 size_t max_parallelism = 0);
 
 }  // namespace pstorm::common
 

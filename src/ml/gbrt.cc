@@ -158,65 +158,7 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Fit(
   model.shrinkage_ = options.shrinkage;
   model.best_iteration_ = best_iteration;
   model.trees_ = std::move(run.trees);
-  model.options_ = options;
   return model;
-}
-
-Status GradientBoostedTrees::FitMore(const FeatureMatrix& x,
-                                     const std::vector<double>& y,
-                                     int extra_trees, uint64_t seed) {
-  if (x.empty() || x.size() != y.size()) {
-    return Status::InvalidArgument("x and y must be non-empty, same length");
-  }
-  if (extra_trees < 1) {
-    return Status::InvalidArgument("extra_trees must be >= 1");
-  }
-  if (trees_.empty()) {
-    return Status::FailedPrecondition("FitMore requires a fitted model");
-  }
-  const bool laplace = options_.loss == GbrtLoss::kLaplace;
-
-  // Drop the CV-rejected tail so the residuals below are the residuals of
-  // the model Predict() actually uses.
-  trees_.resize(std::min<size_t>(trees_.size(),
-                                 static_cast<size_t>(best_iteration_)));
-
-  std::vector<double> f(x.size());
-  for (size_t i = 0; i < x.size(); ++i) f[i] = Predict(x[i]);
-  std::vector<double> residual(x.size(), 0.0);
-
-  RegressionTree::Options tree_options;
-  tree_options.max_depth = options_.interaction_depth;
-  tree_options.min_samples_leaf = options_.min_obs_in_node;
-
-  std::vector<size_t> rows(x.size());
-  std::iota(rows.begin(), rows.end(), 0);
-  const size_t bag_size = std::max<size_t>(
-      std::max<size_t>(1, 2 * options_.min_obs_in_node),
-      static_cast<size_t>(options_.bag_fraction *
-                          static_cast<double>(rows.size())));
-
-  Rng rng(seed);
-  trees_.reserve(trees_.size() + extra_trees);
-  for (int iter = 0; iter < extra_trees; ++iter) {
-    for (size_t r : rows) residual[r] = y[r] - f[r];
-    std::vector<size_t> bag;
-    if (bag_size >= rows.size()) {
-      bag = rows;
-    } else {
-      const std::vector<uint64_t> picks =
-          rng.SampleWithoutReplacement(rows.size(), bag_size);
-      bag.reserve(picks.size());
-      for (uint64_t p : picks) bag.push_back(rows[p]);
-    }
-    PSTORM_ASSIGN_OR_RETURN(
-        RegressionTree tree,
-        RegressionTree::Fit(x, residual, bag, tree_options, laplace));
-    for (size_t r : rows) f[r] += shrinkage_ * tree.Predict(x[r]);
-    trees_.push_back(std::move(tree));
-  }
-  best_iteration_ = static_cast<int>(trees_.size());
-  return Status::OK();
 }
 
 double GradientBoostedTrees::Predict(

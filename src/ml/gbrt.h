@@ -44,17 +44,6 @@ class GradientBoostedTrees {
   /// Predicts with the CV-selected number of trees.
   double Predict(const std::vector<double>& features) const;
 
-  /// Continues boosting: drops the CV-rejected tree tail (every tree past
-  /// best_iteration()), then fits `extra_trees` more trees against the
-  /// residuals of the current model on (x, y) — typically the original
-  /// training data plus the rows that arrived since. The incremental pass
-  /// trains on every given row and skips cross-validation (all trees
-  /// count toward prediction afterwards); callers that want a fresh CV
-  /// selection run a full Fit instead — that is the bounded-staleness
-  /// trade IncrementalGbrt manages.
-  Status FitMore(const FeatureMatrix& x, const std::vector<double>& y,
-                 int extra_trees, uint64_t seed);
-
   int best_iteration() const { return best_iteration_; }
   size_t num_trees_trained() const { return trees_.size(); }
 
@@ -65,7 +54,6 @@ class GradientBoostedTrees {
   double shrinkage_ = 0.0;
   int best_iteration_ = 0;
   std::vector<RegressionTree> trees_;
-  Options options_;  // Kept for FitMore.
 };
 
 }  // namespace pstorm::ml

@@ -8,9 +8,17 @@ namespace obs {
 
 namespace {
 
+/// A simulated job runtime, such as a CBO round's best prediction.
 std::string Seconds(double s) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3fs", s);
+  return buf;
+}
+
+/// A wall time: most phases of a matched submission take well under 1 ms.
+std::string Micros(double s) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.0fus", s * 1e6);
   return buf;
 }
 
@@ -55,18 +63,18 @@ std::string SubmissionTrace::ToString() const {
   out << "\n";
   if (!cbo.rounds.empty() || cbo.candidates_evaluated > 0) {
     out << "  cbo: evaluated=" << cbo.candidates_evaluated
-        << " wall=" << Seconds(cbo.seconds) << "\n";
+        << " wall=" << Micros(cbo.seconds) << "\n";
     for (const CboRoundTrace& round : cbo.rounds) {
       out << "    " << round.phase << ": evaluated="
           << round.candidates_evaluated << " best="
           << Seconds(round.best_predicted_s) << " wall="
-          << Seconds(round.seconds) << "\n";
+          << Micros(round.seconds) << "\n";
     }
   }
   if (!timeline.empty()) {
     out << "  timeline:";
     for (const SpanRecord& span : timeline) {
-      out << " " << span.name << "=" << Seconds(span.seconds);
+      out << " " << span.name << "=" << Micros(span.seconds);
     }
     out << "\n";
   }

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <thread>
+#include <limits>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace pstorm::optimizer {
@@ -96,46 +95,23 @@ Result<CostBasedOptimizer::Recommendation> CostBasedOptimizer::Optimize(
   best.predicted_runtime_s = std::numeric_limits<double>::infinity();
   int evaluated = 0;
 
-  const size_t num_threads =
-      options_.num_threads > 0
-          ? static_cast<size_t>(options_.num_threads)
-          : std::max(1u, std::thread::hardware_concurrency());
-  common::ThreadPool* pool =
-      num_threads > 1 ? common::ThreadPool::Shared() : nullptr;
-
-  // Evaluates a batch of candidates across the pool and folds it into the
-  // incumbent. Every candidate in a batch is generated before any is
-  // evaluated (evaluation consumes no randomness), and the argmin scans in
-  // candidate order with a strict '<' — ties keep the earlier index — so
-  // the result is bit-identical to the sequential generate-then-evaluate
-  // loop for any thread count.
+  // Evaluates a batch in candidate order and folds it into the incumbent
+  // with a strict '<', so ties keep the earlier candidate.
   auto evaluate_batch = [&](const std::vector<mrsim::Configuration>& batch,
                             const char* phase) {
     obs::CboRoundTrace round_trace;
     round_trace.phase = phase;
     {
       obs::ScopedTimer round_timer(nullptr, &round_trace.seconds);
-      std::vector<double> runtimes(batch.size(),
-                                   std::numeric_limits<double>::infinity());
-      std::vector<char> feasible(batch.size(), 0);
-      common::ParallelFor(
-          pool, 0, batch.size(),
-          [&](size_t i) {
-            const mrsim::Configuration& c = batch[i];
-            if (!c.Validate().ok()) return;
-            auto prediction = engine_->Predict(profile, data, c);
-            if (!prediction.ok()) return;
-            runtimes[i] = prediction->runtime_s;
-            feasible[i] = 1;
-          },
-          num_threads);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!feasible[i]) continue;
+      for (const mrsim::Configuration& c : batch) {
+        if (!c.Validate().ok()) continue;
+        auto prediction = engine_->Predict(profile, data, c);
+        if (!prediction.ok()) continue;
         ++evaluated;
         ++round_trace.candidates_evaluated;
-        if (runtimes[i] < best.predicted_runtime_s) {
-          best.predicted_runtime_s = runtimes[i];
-          best.config = batch[i];
+        if (prediction->runtime_s < best.predicted_runtime_s) {
+          best.predicted_runtime_s = prediction->runtime_s;
+          best.config = c;
         }
       }
     }
@@ -147,8 +123,8 @@ Result<CostBasedOptimizer::Recommendation> CostBasedOptimizer::Optimize(
 
   // Seed points first: the Hadoop defaults and a sensible-reducers
   // variant, so the optimizer can never be worse than the obvious
-  // baselines according to its own model. Then global exploration — all
-  // candidates drawn up front from the single RNG on this thread.
+  // baselines according to its own model. Then global exploration, drawn
+  // from the single seeded RNG.
   {
     std::vector<mrsim::Configuration> batch;
     batch.reserve(2 + static_cast<size_t>(options_.global_samples));
@@ -167,8 +143,7 @@ Result<CostBasedOptimizer::Recommendation> CostBasedOptimizer::Optimize(
 
   // Local refinement around the incumbent (recursive random search). A
   // round's perturbations all derive from the incumbent entering the
-  // round, so generation stays on the submitting thread and rounds remain
-  // sequential barriers.
+  // round.
   for (int round = 0; round < options_.refinement_rounds; ++round) {
     const mrsim::Configuration incumbent = best.config;
     std::vector<mrsim::Configuration> batch;

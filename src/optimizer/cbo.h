@@ -29,12 +29,6 @@ class CostBasedOptimizer {
     /// Heap headroom the optimizer must leave when sizing io.sort.mb.
     double heap_margin_mb = 80.0;
     uint64_t seed = 17;
-    /// What-if evaluations run across the shared thread pool with this
-    /// much parallelism; 0 means the hardware concurrency, 1 runs inline
-    /// on the submitting thread. The recommendation is bit-identical for
-    /// every value: candidates are generated up front from the single
-    /// seeded RNG and reduced with a deterministic argmin.
-    int num_threads = 0;
   };
 
   /// `engine` must outlive the optimizer.
@@ -50,8 +44,10 @@ class CostBasedOptimizer {
   };
 
   /// Finds a near-optimal configuration for the job described by
-  /// `profile` on `data`. `trace` (optional) receives the search-effort
-  /// accounting: candidates evaluated and wall time per round.
+  /// `profile` on `data`, searching on the calling thread; the result is a
+  /// pure function of the inputs and `Options::seed`. `trace` (optional)
+  /// receives the search-effort accounting: candidates evaluated and wall
+  /// time per round.
   Result<Recommendation> Optimize(const profiler::ExecutionProfile& profile,
                                   const mrsim::DataSetSpec& data,
                                   obs::CboTrace* trace = nullptr) const;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
-#include "mrsim/simulator.h"
 #include "obs/metrics.h"
 
 namespace pstorm::whatif {
@@ -73,16 +71,22 @@ Result<Prediction> WhatIfEngine::Predict(
   prediction.map_outcome = mrsim::ModelMapTask(map_params, config);
   prediction.map_task_s = prediction.map_outcome.total_s;
 
-  // Wave scheduling of identical map tasks; keep the end times sorted so
-  // any slowstart fraction can index into them.
-  const std::vector<double> map_durations(num_splits, prediction.map_task_s);
-  const auto map_schedule =
-      mrsim::ListSchedule(cluster_.total_map_slots(), map_durations);
-  std::vector<double> map_ends;
-  map_ends.reserve(map_schedule.size());
-  for (const auto& [start, end] : map_schedule) map_ends.push_back(end);
-  std::sort(map_ends.begin(), map_ends.end());
-  const double map_phase_end = map_ends.empty() ? 0.0 : map_ends.back();
+  // Map waves, summed (see the class comment). Reducers are released when
+  // map number ceil(f * n) ends, at the end of wave ceil(that / slots); a
+  // zero rank releases them at time 0.
+  const uint64_t map_slots = static_cast<uint64_t>(cluster_.total_map_slots());
+  const uint64_t map_waves = (num_splits + map_slots - 1) / map_slots;
+  const double slowstart_maps = std::ceil(
+      config.reduce_slowstart_completed_maps * static_cast<double>(num_splits));
+  const uint64_t release_rank =
+      std::min(static_cast<uint64_t>(slowstart_maps), num_splits);
+  const uint64_t release_wave = (release_rank + map_slots - 1) / map_slots;
+  double map_phase_end = 0.0;
+  double slowstart_time = 0.0;
+  for (uint64_t wave = 1; wave <= map_waves; ++wave) {
+    map_phase_end += prediction.map_task_s;
+    if (wave == release_wave) slowstart_time = map_phase_end;
+  }
   prediction.map_phase_s = map_phase_end;
 
   if (config.num_reduce_tasks == 0) {
@@ -132,30 +136,19 @@ Result<Prediction> WhatIfEngine::Predict(
   prediction.reduce_outcome = mrsim::ModelReduceTask(reduce_params, config);
   prediction.reduce_task_s = prediction.reduce_outcome.total_s;
 
+  // Reduce waves: every slot of a wave frees at the same instant.
   // Reducers wait for the slowstart share of maps, and no shuffle ends
   // before the last map does.
-  const size_t slowstart_index = static_cast<size_t>(std::ceil(
-      config.reduce_slowstart_completed_maps *
-      static_cast<double>(num_splits)));
-  const double slowstart_time =
-      slowstart_index == 0
-          ? 0.0
-          : map_ends[std::min<size_t>(slowstart_index, num_splits) - 1];
-
-  // Wave scheduling of identical reduce tasks with the shuffle barrier.
   const int reduce_slots = cluster_.total_reduce_slots();
-  std::vector<double> slot_free(reduce_slots, 0.0);
-  double reduce_end = 0.0;
   const auto& ro = prediction.reduce_outcome;
-  for (int t = 0; t < config.num_reduce_tasks; ++t) {
-    auto slot =
-        std::min_element(slot_free.begin(), slot_free.end());
-    const double start = std::max(*slot, slowstart_time);
+  double slot_free = 0.0;
+  double reduce_end = 0.0;
+  for (int left = config.num_reduce_tasks; left > 0; left -= reduce_slots) {
+    const double start = std::max(slot_free, slowstart_time);
     const double shuffle_end = std::max(
         start + cluster_.task_startup_seconds + ro.shuffle_s, map_phase_end);
-    const double end =
-        shuffle_end + ro.merge_s + ro.reduce_s + ro.write_s;
-    *slot = end;
+    const double end = shuffle_end + ro.merge_s + ro.reduce_s + ro.write_s;
+    slot_free = end;
     reduce_end = std::max(reduce_end, end);
   }
   prediction.runtime_s = std::max(map_phase_end, reduce_end);

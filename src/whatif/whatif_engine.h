@@ -32,6 +32,16 @@ struct Prediction {
 /// by deterministic wave scheduling. It never sees the hidden JobSpec:
 /// prediction quality is bounded by profile quality, exactly the dynamic
 /// the thesis exploits.
+///
+/// Scheduling is two loops over waves, not over tasks. Every virtual map
+/// task lasts the same d seconds, so the map slots fill in ⌈n/S⌉ waves and
+/// wave w ends at wave_end[w-1] + d. Those ends are accumulated one
+/// addition per wave — the additions `mrsim::ListSchedule` performs on the
+/// same tasks, so the result is bit-identical to it; `waves * d` rounds
+/// differently. Every reduce task is identical too, so each of the
+/// ⌈R/S_r⌉ reduce waves evaluates the per-task start/shuffle/end
+/// expression once. A prediction therefore costs O(waves), which is what
+/// lets the CBO call it hundreds of times per submission.
 class WhatIfEngine {
  public:
   explicit WhatIfEngine(mrsim::ClusterSpec cluster);

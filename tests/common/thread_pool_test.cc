@@ -4,9 +4,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
-#include <vector>
 
 namespace pstorm::common {
 namespace {
@@ -74,77 +72,6 @@ TEST(ThreadPoolTest, SharedPoolIsSingletonAndUsable) {
   EXPECT_EQ(a, b);
   EXPECT_GE(a->num_threads(), 1u);
   EXPECT_EQ(a->Submit([] { return 3; }).get(), 3);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(&pool, 0, hits.size(),
-              [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelForTest, EmptyRangeIsANoOp) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  ParallelFor(&pool, 0, 0, [&calls](size_t) { calls.fetch_add(1); });
-  ParallelFor(&pool, 5, 5, [&calls](size_t) { calls.fetch_add(1); });
-  ParallelFor(&pool, 7, 3, [&calls](size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(ParallelForTest, NullPoolRunsSerially) {
-  std::vector<int> hits(64, 0);
-  ParallelFor(nullptr, 0, hits.size(), [&hits](size_t i) { hits[i]++; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 64);
-}
-
-TEST(ParallelForTest, RespectsNonZeroBegin) {
-  ThreadPool pool(3);
-  std::atomic<long> sum{0};
-  ParallelFor(&pool, 10, 20,
-              [&sum](size_t i) { sum.fetch_add(static_cast<long>(i)); });
-  EXPECT_EQ(sum.load(), 145);  // 10 + 11 + ... + 19.
-}
-
-TEST(ParallelForTest, PropagatesExceptionAndStopsClaiming) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(
-      ParallelFor(&pool, 0, 10000,
-                  [&ran](size_t i) {
-                    ran.fetch_add(1);
-                    if (i == 3) throw std::runtime_error("iteration failed");
-                  }),
-      std::runtime_error);
-  // Unclaimed iterations are abandoned after the throw; the in-flight
-  // handful may finish.
-  EXPECT_LT(ran.load(), 10000);
-}
-
-TEST(ParallelForTest, NestedParallelForFromPoolTaskCompletes) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  // Outer parallel loop whose every iteration runs an inner one; with
-  // only 2 workers the inner loops must be drained by their calling
-  // (worker) threads rather than waiting for free workers.
-  ParallelFor(&pool, 0, 8, [&pool, &total](size_t) {
-    ParallelFor(&pool, 0, 16, [&total](size_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 8 * 16);
-}
-
-TEST(ParallelForTest, MaxParallelismOneRunsInline) {
-  ThreadPool pool(4);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> seen(32);
-  ParallelFor(
-      &pool, 0, seen.size(),
-      [&seen](size_t i) { seen[i] = std::this_thread::get_id(); },
-      /*max_parallelism=*/1);
-  for (const auto& id : seen) EXPECT_EQ(id, caller);
 }
 
 }  // namespace

@@ -212,7 +212,9 @@ TEST(SubmissionTraceTest, ToStringRendersAllSections) {
   trace.store.entry_cache_hits = 2;
   trace.cbo.candidates_evaluated = 700;
   trace.cbo.rounds.push_back(CboRoundTrace{"seed+global", 400, 1.5, 0.2});
+  trace.cbo.rounds.push_back(CboRoundTrace{"refine 1", 150, 1.25, 250e-6});
   trace.timeline.push_back(SpanRecord{"match", 0.01});
+  trace.timeline.push_back(SpanRecord{"cbo", 250e-6});
 
   const std::string s = trace.ToString();
   EXPECT_NE(s.find("WordCount@RandomText1Gb"), std::string::npos);
@@ -221,6 +223,10 @@ TEST(SubmissionTraceTest, ToStringRendersAllSections) {
   EXPECT_NE(s.find("theta=0.5"), std::string::npos);
   EXPECT_NE(s.find("seed+global"), std::string::npos);
   EXPECT_NE(s.find("match"), std::string::npos);
+  // Wall times render in microseconds, so sub-millisecond phases read as
+  // nonzero; best= is a simulated runtime and stays in seconds.
+  EXPECT_NE(s.find("best=1.250s wall=250us"), std::string::npos) << s;
+  EXPECT_NE(s.find("cbo=250us"), std::string::npos) << s;
 }
 
 }  // namespace

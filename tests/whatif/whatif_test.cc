@@ -2,12 +2,57 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "jobs/benchmark_jobs.h"
 #include "jobs/datasets.h"
+#include "mrsim/simulator.h"
 #include "profiler/profiler.h"
 
 namespace pstorm::whatif {
 namespace {
+
+/// The per-task schedule Predict ran before its wave loops, kept as the
+/// oracle for them: list-schedule `num_splits` identical maps, sort their
+/// ends, then put each reduce task on the earliest-free slot. Returns
+/// {runtime_s, map_phase_s} for `p`'s task durations.
+std::pair<double, double> ListScheduledRuntime(
+    const mrsim::ClusterSpec& cluster, uint64_t num_splits,
+    const mrsim::Configuration& config, const Prediction& p) {
+  const std::vector<double> map_durations(num_splits, p.map_task_s);
+  std::vector<double> map_ends;
+  for (const auto& [start, end] :
+       mrsim::ListSchedule(cluster.total_map_slots(), map_durations)) {
+    map_ends.push_back(end);
+  }
+  std::sort(map_ends.begin(), map_ends.end());
+  const double map_phase_end = map_ends.back();
+  if (config.num_reduce_tasks == 0) return {map_phase_end, map_phase_end};
+
+  const size_t slowstart_index = static_cast<size_t>(
+      std::ceil(config.reduce_slowstart_completed_maps *
+                static_cast<double>(num_splits)));
+  const double slowstart_time =
+      slowstart_index == 0
+          ? 0.0
+          : map_ends[std::min<size_t>(slowstart_index, num_splits) - 1];
+  std::vector<double> slot_free(cluster.total_reduce_slots(), 0.0);
+  double reduce_end = 0.0;
+  const auto& ro = p.reduce_outcome;
+  for (int t = 0; t < config.num_reduce_tasks; ++t) {
+    auto slot = std::min_element(slot_free.begin(), slot_free.end());
+    const double start = std::max(*slot, slowstart_time);
+    const double shuffle_end = std::max(
+        start + cluster.task_startup_seconds + ro.shuffle_s, map_phase_end);
+    const double end = shuffle_end + ro.merge_s + ro.reduce_s + ro.write_s;
+    *slot = end;
+    reduce_end = std::max(reduce_end, end);
+  }
+  return {std::max(map_phase_end, reduce_end), map_phase_end};
+}
 
 class WhatIfTest : public ::testing::Test {
  protected:
@@ -155,6 +200,65 @@ TEST_F(WhatIfTest, CombinerKnobOnlyHelpsWhenProfileShowsACombiner) {
   ASSERT_TRUE(p_without.ok());
   EXPECT_DOUBLE_EQ(p_with->runtime_s, p_without->runtime_s)
       << "sort has no combiner; the knob is inert";
+}
+
+TEST_F(WhatIfTest, WaveRecurrenceMatchesListSchedule) {
+  // The wave loops must reproduce the per-task schedule bit for bit, on
+  // full and partial waves of both phases and across the slowstart range.
+  std::vector<mrsim::ClusterSpec> clusters(4, mrsim::ThesisCluster());
+  clusters[1].num_worker_nodes = 1;
+  clusters[1].map_slots_per_node = 1;
+  clusters[1].reduce_slots_per_node = 1;
+  clusters[2].num_worker_nodes = 7;
+  clusters[2].map_slots_per_node = 3;
+  clusters[2].reduce_slots_per_node = 2;
+  clusters[3].num_worker_nodes = 40;
+  clusters[3].task_startup_seconds = 0.1;
+
+  const auto text = DataSet(jobs::kRandomText1Gb);
+  const auto tera = DataSet(jobs::kTeraGen1Gb);
+  const profiler::ExecutionProfile profiles[] = {
+      FullProfile(jobs::WordCount().spec, text, {}),
+      FullProfile(jobs::Sort().spec, tera, {}),
+      FullProfile(jobs::WordCooccurrencePairs(2).spec, text, {})};
+
+  int cases = 0;
+  for (const mrsim::ClusterSpec& cluster : clusters) {
+    const WhatIfEngine engine(cluster);
+    const uint64_t s = static_cast<uint64_t>(cluster.total_map_slots());
+    const int sr = cluster.total_reduce_slots();
+    const std::vector<uint64_t> split_counts = {
+        1, 2, std::max<uint64_t>(1, s - 1), s, s + 1, 16, 64, 571, 1999};
+    const std::vector<int> reducer_counts = {
+        0, 1, sr - 1, sr, sr + 1, 2 * sr + 1, 3 * sr};
+    for (const profiler::ExecutionProfile& profile : profiles) {
+      for (uint64_t splits : split_counts) {
+        mrsim::DataSetSpec data = text;
+        data.size_bytes = splits * data.split_bytes;
+        ASSERT_EQ(data.num_splits(), splits);
+        for (int reducers : reducer_counts) {
+          for (double slowstart : {0.0, 1e-9, 0.05, 0.5, 0.999, 1.0}) {
+            mrsim::Configuration config;
+            config.num_reduce_tasks = reducers;
+            config.reduce_slowstart_completed_maps = slowstart;
+            auto p = engine.Predict(profile, data, config);
+            ASSERT_TRUE(p.ok()) << p.status();
+            const auto [runtime_s, map_phase_s] =
+                ListScheduledRuntime(cluster, splits, config, *p);
+            EXPECT_EQ(p->runtime_s, runtime_s)
+                << cluster.num_worker_nodes << " nodes, " << splits
+                << " splits, " << reducers << " reducers, slowstart "
+                << slowstart;
+            EXPECT_EQ(p->map_phase_s, map_phase_s)
+                << cluster.num_worker_nodes << " nodes, " << splits
+                << " splits";
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 4 * 3 * 9 * 7 * 6);
 }
 
 }  // namespace
