@@ -116,7 +116,7 @@ void VectorSpaceIndex::Clear() {
 std::vector<std::string> VectorSpaceIndex::Lookup(
     const std::vector<double>& probe, double theta,
     const std::vector<double>& mins, const std::vector<double>& ranges,
-    QueryStats* stats) const {
+    QueryStats* stats, std::vector<double>* out_distances) const {
   PSTORM_CHECK(probe.size() == dims_);
   PSTORM_CHECK(mins.size() == dims_);
   PSTORM_CHECK(ranges.size() == dims_);
@@ -143,6 +143,7 @@ std::vector<std::string> VectorSpaceIndex::Lookup(
     // cell bounds can never drop a true candidate (the exact verify below
     // removes every false one).
     const double theta_sq = theta * theta * (1.0 + 1e-9) + 1e-12;
+    std::vector<char> hit(keys_.size(), 0);
     for (const auto& [cell_key, slots] : cells_) {
       ++q.cells_visited;
       // Minimum possible squared normalized distance between the probe
@@ -167,27 +168,43 @@ std::vector<std::string> VectorSpaceIndex::Lookup(
         continue;
       }
       q.candidates_enumerated += slots.size();
-      rows.insert(rows.end(), slots.begin(), slots.end());
+      for (uint32_t slot : slots) hit[slot] = 1;
     }
     // Slot order keeps the verify pass sequential in memory and, since a
-    // rebuild inserts in key order, hands the final key sort nearly
-    // sorted input (measurably cheaper than cell order at 10^3 members).
-    std::sort(rows.begin(), rows.end());
+    // rebuild inserts in key order, usually is key order. Marking costs
+    // one pass over the slots; at the default θ nearly every member is
+    // enumerated, and sorting them cost more.
+    for (uint32_t slot = 0; slot < hit.size(); ++slot) {
+      if (hit[slot]) rows.push_back(slot);
+    }
   }
 
   std::vector<double> distances;
   BatchNormalizedDistances(soa_, rows, mins, ranges, normalized_probe,
                            &distances);
-  std::vector<std::string> out;
-  for (size_t j = 0; j < rows.size(); ++j) {
+  std::vector<uint32_t> accepted;  // Positions in `rows`.
+  for (uint32_t j = 0; j < rows.size(); ++j) {
     if (distances[j] <= theta && !keys_[rows[j]].empty()) {
-      out.push_back(keys_[rows[j]]);
+      accepted.push_back(j);
     }
   }
   // The exhaustive path scans rows in key order; matching it exactly
   // keeps order-sensitive downstream steps (TieBreak among exact ties)
-  // bit-identical.
-  std::sort(out.begin(), out.end());
+  // bit-identical. Keys are unique, so the order is total.
+  const auto by_key = [&](uint32_t a, uint32_t b) {
+    return keys_[rows[a]] < keys_[rows[b]];
+  };
+  if (!std::is_sorted(accepted.begin(), accepted.end(), by_key)) {
+    std::sort(accepted.begin(), accepted.end(), by_key);
+  }
+  std::vector<std::string> out;
+  out.reserve(accepted.size());
+  for (uint32_t j : accepted) out.push_back(keys_[rows[j]]);
+  if (out_distances != nullptr) {
+    out_distances->clear();
+    out_distances->reserve(accepted.size());
+    for (uint32_t j : accepted) out_distances->push_back(distances[j]);
+  }
   q.candidates_returned = out.size();
   return out;
 }

@@ -59,12 +59,15 @@ class VectorSpaceIndex {
   /// normalization (FeatureBounds mins and effective ranges); the distance
   /// replays `(v - min) / range` per dimension, the squared sum in
   /// dimension order, then `sqrt(sum) <= theta` — the exhaustive filter's
-  /// arithmetic exactly.
+  /// arithmetic exactly. `distances` (optional) receives those distances,
+  /// parallel to the returned keys.
   std::vector<std::string> Lookup(const std::vector<double>& probe,
                                   double theta,
                                   const std::vector<double>& mins,
                                   const std::vector<double>& ranges,
-                                  QueryStats* stats = nullptr) const;
+                                  QueryStats* stats = nullptr,
+                                  std::vector<double>* distances = nullptr)
+      const;
 
   /// (key, raw values) of every live member, sorted by key. The cell
   /// structure is a pure function of the values, so snapshot equality

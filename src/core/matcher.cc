@@ -1,13 +1,11 @@
 #include "core/matcher.h"
 
+#include <array>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <memory>
-#include <unordered_set>
 
 #include "common/logging.h"
-#include "common/statistics.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "staticanalysis/cfg_matcher.h"
@@ -24,48 +22,66 @@ void RecordEntryGet(bool cache_hit, obs::StoreOpsTrace* t) {
 
 using EntryRef = std::shared_ptr<const StoredEntry>;
 
-/// Decodes each stage-1 survivor once for the in-memory stages 2-3,
-/// keeping the key order stage 1 returns (the index and ListJobKeys both
-/// return sorted unique keys). A survivor deleted since stage 1 is
-/// skipped; one whose rows fail to decode drops out of the funnel and is
-/// counted instead of failing the match (DESIGN.md §5).
-Result<std::vector<EntryRef>> FetchSurvivors(
-    const ProfileStore& store, const std::vector<std::string>& keys,
-    obs::StoreOpsTrace* t) {
-  static obs::Counter& corrupt = obs::MetricsRegistry::Global().GetCounter(
-      "pstorm_matcher_corrupt_candidates_total");
-  std::vector<EntryRef> out;
-  out.reserve(keys.size());
-  for (const std::string& key : keys) {
-    bool cache_hit = false;
-    auto entry = store.GetEntryRef(key, &cache_hit);
-    RecordEntryGet(cache_hit, t);
-    if (entry.ok()) {
-      out.push_back(std::move(entry).value());
-    } else if (entry.status().IsCorruption()) {
-      corrupt.Increment();
-    } else if (!entry.status().IsNotFound()) {
-      return entry.status();
-    }
-  }
-  return out;
+/// PositionalJaccard of `probe` against `fields`, compared in place. A
+/// probe one longer than `fields` carries the user-parameter string
+/// (§7.2.1) in its last slot, compared against `user_params`.
+template <size_t N>
+double FieldsJaccard(const std::array<const std::string*, N>& fields,
+                     const std::string& user_params,
+                     const std::vector<std::string>& probe) {
+  const bool with_params = probe.size() == N + 1;
+  PSTORM_CHECK(with_params || probe.size() == N);
+  size_t matches = 0;
+  for (size_t i = 0; i < N; ++i) matches += *fields[i] == probe[i];
+  if (with_params) matches += user_params == probe[N];
+  return static_cast<double>(matches) / static_cast<double>(probe.size());
 }
 
-/// The entries of `in` that pass `pred`, in order.
-template <typename Pred>
-std::vector<EntryRef> Keep(const std::vector<EntryRef>& in, Pred pred) {
-  std::vector<EntryRef> out;
-  for (const EntryRef& e : in) {
-    if (pred(*e)) out.push_back(e);
-  }
-  return out;
+/// The positional Jaccard of `probe` against the entry's side categorical
+/// features (Table 4.3 order), plus its user parameters when `probe`
+/// carries them.
+double EntryJaccard(Side side, const std::vector<std::string>& probe,
+                    const StoredEntry& entry) {
+  const staticanalysis::StaticFeatures& s = entry.statics;
+  return side == Side::kMap
+             ? FieldsJaccard(s.MapCategoricalFields(), s.user_params, probe)
+             : FieldsJaccard(s.ReduceCategoricalFields(), s.user_params,
+                             probe);
 }
 
-std::vector<std::string> KeysOf(const std::vector<EntryRef>& entries) {
-  std::vector<std::string> keys;
-  keys.reserve(entries.size());
-  for (const EntryRef& e : entries) keys.push_back(e->job_key);
-  return keys;
+/// One tie-break candidate's scores.
+struct TieScores {
+  double jaccard = 0.0;
+  double input_gap = 0.0;
+  double dynamic_distance = 0.0;
+};
+
+/// The tie-break rule: whether `s` beats `best`. Exact static matches
+/// first; then the thesis's input-size rule; then the closest dynamic
+/// behaviour for determinism. The tolerances make it no strict weak
+/// order, so both tie-break paths fold it over candidates in key order.
+bool Beats(const TieScores& s, const TieScores& best) {
+  if (s.jaccard > best.jaccard + 1e-12) return true;
+  if (!(std::fabs(s.jaccard - best.jaccard) <= 1e-12)) return false;
+  if (s.input_gap < best.input_gap - 1e-6) return true;
+  return std::fabs(s.input_gap - best.input_gap) <= 1e-6 &&
+         s.dynamic_distance < best.dynamic_distance;
+}
+
+/// The winner among `keys` (non-empty, in key order, parallel to
+/// `scores`), recorded in `t`.
+const std::string& PickWinner(const std::vector<const std::string*>& keys,
+                              const std::vector<TieScores>& scores,
+                              obs::SideTrace* t) {
+  size_t best = 0;
+  for (size_t i = 1; i < scores.size(); ++i) {
+    if (Beats(scores[i], scores[best])) best = i;
+  }
+  if (t != nullptr) {
+    t->winner_job_key = *keys[best];
+    t->winner_score = scores[best].jaccard;
+  }
+  return *keys[best];
 }
 
 void RecordStage(obs::SideTrace* t, const char* name, uint64_t in,
@@ -123,11 +139,10 @@ struct SideOutcomeOnExit {
 
 }  // namespace
 
-bool CfgStagePasses(Side side, const staticanalysis::Cfg& probe,
+bool CfgStagePasses(Side side, const std::string& probe_cfg_key,
                     const StoredEntry& entry) {
-  return staticanalysis::MatchCfgs(
-      probe, side == Side::kMap ? entry.statics.map_cfg
-                                : entry.statics.reduce_cfg);
+  return probe_cfg_key ==
+         (side == Side::kMap ? entry.map_cfg_key : entry.reduce_cfg_key);
 }
 
 bool CallSetStagePasses(Side side, const std::string& probe_calls,
@@ -143,14 +158,8 @@ bool CallSetStagePasses(Side side, const std::string& probe_calls,
 bool JaccardStagePasses(Side side, const std::vector<std::string>& probe,
                         double theta, bool include_user_params,
                         const StoredEntry& entry) {
-  std::vector<std::string> stored = side == Side::kMap
-                                        ? entry.statics.MapCategorical()
-                                        : entry.statics.ReduceCategorical();
-  if (include_user_params) {
-    if (!entry.has_user_params) return false;
-    stored.push_back(entry.statics.user_params);
-  }
-  return PositionalJaccard(stored, probe) >= theta;
+  if (include_user_params && !entry.has_user_params) return false;
+  return EntryJaccard(side, probe, entry) >= theta;
 }
 
 MultiStageMatcher::MultiStageMatcher(const ProfileStore* store,
@@ -181,96 +190,51 @@ Result<std::string> MultiStageMatcher::TieBreak(
   const std::vector<double> probe_normalized =
       dynamic.empty() ? std::vector<double>() : bounds.Normalize(dynamic);
 
-  struct Scored {
-    std::string key;
-    double jaccard;
-    double input_gap;
-    double dynamic_distance;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(candidates.size());
-  // Candidates' dynamic vectors, gathered into a contiguous SoA batch so
-  // the distance criterion runs through the branch-free vectorized kernel
-  // (one pass over all survivors) instead of per-candidate scalar loops.
+  std::vector<const std::string*> keys;
+  std::vector<TieScores> scores;
+  // The candidates' dynamic vectors, gathered into one SoA batch for the
+  // kernel the match index verifies stage 1 with.
   SoaBatch stored_dynamics(probe_normalized.size());
-  stored_dynamics.Reserve(candidates.size());
   for (const std::string& key : candidates) {
     bool cache_hit = false;
     auto entry_or = store_->GetEntryRef(key, &cache_hit);
     RecordEntryGet(cache_hit, store_trace);
-    if (entry_or.status().IsNotFound()) {
-      // A concurrent DeleteProfile removed this candidate between the
-      // scan that produced it and now; score the survivors.
-      if (side_trace != nullptr) ++side_trace->tie_break_vanished;
-      continue;
-    }
+    // A key deleted since the caller listed it is skipped.
+    if (entry_or.status().IsNotFound()) continue;
     PSTORM_RETURN_IF_ERROR(entry_or.status());
-    const std::shared_ptr<const StoredEntry> entry =
-        std::move(entry_or).value();
-    Scored s;
-    s.key = key;
-    std::vector<std::string> stored_categorical =
-        side == Side::kMap ? entry->statics.MapCategorical()
-                           : entry->statics.ReduceCategorical();
-    // A probe extended with the user-parameter feature (§7.2.1) compares
-    // against the stored parameter string in the same slot.
-    if (categorical.size() == stored_categorical.size() + 1) {
-      stored_categorical.push_back(entry->statics.user_params);
-    }
-    s.jaccard = categorical.empty()
-                    ? 0.0
-                    : PositionalJaccard(stored_categorical, categorical);
-    s.input_gap =
-        std::fabs(entry->profile.input_data_bytes - probe_input_bytes);
-    s.dynamic_distance = 0.0;
+    const StoredEntry& entry = *entry_or.value();
+    keys.push_back(&key);
+    scores.push_back(TieScores{
+        categorical.empty() ? 0.0 : EntryJaccard(side, categorical, entry),
+        std::fabs(entry.profile.input_data_bytes - probe_input_bytes), 0.0});
     if (!probe_normalized.empty()) {
       stored_dynamics.Append(side == Side::kMap
-                                 ? entry->profile.map_side.DynamicVector()
-                                 : entry->profile.reduce_side.DynamicVector());
+                                 ? entry.profile.map_side.DynamicVector()
+                                 : entry.profile.reduce_side.DynamicVector());
     }
-    scored.push_back(std::move(s));
   }
-  if (!probe_normalized.empty() && !scored.empty()) {
-    std::vector<uint32_t> rows(scored.size());
+  // Every candidate vanished: report "nothing to pick" via the empty-key
+  // sentinel (job keys are never empty).
+  if (keys.empty()) return std::string();
+  if (!probe_normalized.empty()) {
+    std::vector<uint32_t> rows(scores.size());
     for (uint32_t i = 0; i < rows.size(); ++i) rows[i] = i;
     std::vector<double> distances;
     BatchNormalizedDistances(stored_dynamics, rows, bounds.mins,
                              EffectiveRanges(bounds.mins, bounds.maxs),
                              probe_normalized, &distances);
-    for (size_t i = 0; i < scored.size(); ++i) {
-      scored[i].dynamic_distance = distances[i];
+    for (size_t i = 0; i < scores.size(); ++i) {
+      scores[i].dynamic_distance = distances[i];
     }
   }
-  // Every candidate vanished mid-match: report "nothing to pick" via the
-  // empty-key sentinel (job keys are never empty) so the caller degrades
-  // to No Match instead of erroring.
-  if (scored.empty()) return std::string();
-
-  // Exact static matches first; then the thesis's input-size rule; then
-  // the closest dynamic behaviour for determinism.
-  const Scored* best = &scored[0];
-  for (const Scored& s : scored) {
-    if (s.jaccard > best->jaccard + 1e-12) {
-      best = &s;
-    } else if (std::fabs(s.jaccard - best->jaccard) <= 1e-12) {
-      if (s.input_gap < best->input_gap - 1e-6) {
-        best = &s;
-      } else if (std::fabs(s.input_gap - best->input_gap) <= 1e-6 &&
-                 s.dynamic_distance < best->dynamic_distance) {
-        best = &s;
-      }
-    }
-  }
-  if (side_trace != nullptr) {
-    side_trace->winner_job_key = best->key;
-    side_trace->winner_score = best->jaccard;
-  }
-  return best->key;
+  return PickWinner(keys, scores, side_trace);
 }
 
 Result<SideMatch> MultiStageMatcher::MatchSide(
     Side side, const JobFeatureVector& probe, obs::SideTrace* side_trace,
     obs::StoreOpsTrace* store_trace) const {
+  static obs::Counter& corrupt = obs::MetricsRegistry::Global().GetCounter(
+      "pstorm_matcher_corrupt_candidates_total");
   if (side_trace != nullptr) {
     side_trace->side = side == Side::kMap ? "map" : "reduce";
   }
@@ -280,8 +244,6 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
       side == Side::kMap ? probe.map_costs : probe.reduce_costs;
   const std::vector<std::string>& categorical =
       side == Side::kMap ? probe.map_categorical : probe.reduce_categorical;
-  const staticanalysis::Cfg& cfg =
-      side == Side::kMap ? probe.map_cfg : probe.reduce_cfg;
 
   SideMatch result;
   SideOutcomeOnExit outcome_guard{&result, side_trace};
@@ -292,16 +254,14 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
       options_.include_user_parameters || options_.static_only;
   std::vector<std::string> categorical_probe = categorical;
   if (with_params) categorical_probe.push_back(probe.user_params);
-  const std::string probe_calls = StrJoin(
-      side == Side::kMap ? probe.map_calls : probe.reduce_calls, ",");
 
   // A Euclidean filter on the store's match index, counted as one scan in
   // the store accounting: verified candidates count as rows scanned.
   auto euclidean = [&](Space space, const std::vector<double>& values,
-                       double theta) {
+                       double theta, std::vector<double>* distances) {
     VectorSpaceIndex::QueryStats stats;
-    std::vector<std::string> keys =
-        store_->EuclideanCandidates(side, space, values, theta, &stats);
+    std::vector<std::string> keys = store_->EuclideanCandidates(
+        side, space, values, theta, &stats, distances);
     if (store_trace != nullptr) {
       ++store_trace->scans;
       store_trace->rows_scanned += stats.candidates_enumerated;
@@ -310,21 +270,11 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
     return keys;
   };
 
-  // Picks the winner among `survivors` and records how the side matched.
-  auto finish = [&](const std::vector<std::string>& survivors,
-                    const std::vector<std::string>& tie_categorical,
-                    const std::vector<double>& tie_dynamic,
-                    MatchPath path) -> Result<SideMatch> {
-    PSTORM_ASSIGN_OR_RETURN(
-        result.job_key,
-        TieBreak(side, survivors, tie_categorical, tie_dynamic,
-                 probe.input_data_bytes, side_trace, store_trace));
-    if (!result.job_key.empty()) result.path = path;
-    return result;
-  };
-
   const double theta = ThetaEuclidean(dynamic.size());
   std::vector<std::string> candidates;
+  // Stage-1 distances, parallel to `candidates`; empty when the side
+  // starts from every stored key.
+  std::vector<double> distances;
   if (options_.static_only || options_.static_filters_first) {
     // §7.2.1 static-only mode (no sample, no dynamic filter, no cost
     // fallback) and the static-first ablation both start from everything.
@@ -335,7 +285,7 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
                                      : "static-filters-first ablation");
   } else {
     // ---- Stage 1: dynamic features (Figure 4.4 order). ----
-    candidates = euclidean(Space::kDynamic, dynamic, theta);
+    candidates = euclidean(Space::kDynamic, dynamic, theta, &distances);
     result.after_dynamic = candidates.size();
     RecordStage(side_trace, "dynamic", store_->num_profiles(),
                 candidates.size(), ThetaDetail(theta));
@@ -344,63 +294,87 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
   // the store behaves like this job.
   if (candidates.empty()) return result;
 
-  PSTORM_ASSIGN_OR_RETURN(const std::vector<EntryRef> survivors,
-                          FetchSurvivors(*store_, candidates, store_trace));
-
-  // ---- Stage 2: conservative CFG match. ----
-  std::vector<EntryRef> passed = Keep(survivors, [&](const StoredEntry& e) {
-    return CfgStagePasses(side, cfg, e);
-  });
-  result.after_cfg = passed.size();
-  RecordStage(side_trace, "cfg", candidates.size(), passed.size());
-
-  // ---- Stage 2.5 (§7.2.2 extension): conservative call-set match. ----
-  if (options_.use_call_graph && !passed.empty()) {
-    const size_t calls_in = passed.size();
-    passed = Keep(passed, [&](const StoredEntry& e) {
-      return CallSetStagePasses(side, probe_calls, e);
-    });
-    RecordStage(side_trace, "call_set", calls_in, passed.size());
+  // ---- Stages 2 (CFG), 2.5 (§7.2.2 call set) and 3 (Jaccard), in one
+  // pass over the survivors' entries. ----
+  const std::string cfg_key = staticanalysis::CfgMatchKey(
+      side == Side::kMap ? probe.map_cfg : probe.reduce_cfg);
+  const std::string probe_calls = StrJoin(
+      side == Side::kMap ? probe.map_calls : probe.reduce_calls, ",");
+  size_t after_cfg = 0, after_calls = 0;
+  ProfileStore::EntryVisit visit;
+  PSTORM_RETURN_IF_ERROR(store_->VisitEntries(
+      candidates,
+      [&](const StoredEntry& e) {
+        if (!CfgStagePasses(side, cfg_key, e)) return false;
+        ++after_cfg;
+        if (options_.use_call_graph) {
+          if (!CallSetStagePasses(side, probe_calls, e)) return false;
+          ++after_calls;
+        }
+        return JaccardStagePasses(side, categorical_probe,
+                                  options_.theta_jaccard, with_params, e);
+      },
+      &visit));
+  if (visit.corrupt > 0) corrupt.Add(visit.corrupt);
+  if (store_trace != nullptr) {
+    store_trace->entry_gets += candidates.size();
+    store_trace->entry_cache_hits += visit.cache_hits;
+    store_trace->entry_cache_misses += visit.cache_misses;
   }
-
-  // ---- Stage 3: Jaccard over categorical features. ----
-  const size_t jaccard_in = passed.size();
-  passed = Keep(passed, [&](const StoredEntry& e) {
-    return JaccardStagePasses(side, categorical_probe, options_.theta_jaccard,
-                              with_params, e);
-  });
-  result.after_jaccard = passed.size();
-  RecordStage(side_trace, "jaccard", jaccard_in, passed.size(),
-              ThetaDetail(options_.theta_jaccard));
-  const std::vector<std::string> after_jaccard = KeysOf(passed);
-
-  if (options_.static_only) {
-    if (after_jaccard.empty()) return result;
-    return finish(after_jaccard, categorical_probe, {}, MatchPath::kFullPath);
+  result.after_cfg = after_cfg;
+  RecordStage(side_trace, "cfg", candidates.size(), after_cfg);
+  if (options_.use_call_graph && after_cfg > 0) {
+    RecordStage(side_trace, "call_set", after_cfg, after_calls);
   }
+  result.after_jaccard = visit.passed.size();
+  RecordStage(side_trace, "jaccard",
+              options_.use_call_graph ? after_calls : after_cfg,
+              visit.passed.size(), ThetaDetail(options_.theta_jaccard));
 
-  if (options_.static_filters_first) {
+  // The tie-break over the candidates gathered in `keys` and `scores`.
+  std::vector<const std::string*> keys;
+  std::vector<TieScores> scores;
+  auto add = [&](const StoredEntry& e, double distance) {
+    keys.push_back(&e.job_key);
+    scores.push_back(TieScores{
+        EntryJaccard(side, categorical_probe, e),
+        std::fabs(e.profile.input_data_bytes - probe.input_data_bytes),
+        distance});
+  };
+  auto finish = [&](MatchPath path) {
+    if (side_trace != nullptr) side_trace->tie_break_candidates = keys.size();
+    result.job_key = PickWinner(keys, scores, side_trace);
+    result.path = path;
+    return result;
+  };
+
+  if (options_.static_filters_first && !options_.static_only) {
     // Ablation order: dynamic filter runs last, over the static survivors.
-    if (after_jaccard.empty()) return result;
+    if (visit.passed.empty()) return result;
+    std::vector<double> pass_distances;
     const std::vector<std::string> dynamic_pass =
-        euclidean(Space::kDynamic, dynamic, theta);
-    const std::unordered_set<std::string> dynamic_pass_set(
-        dynamic_pass.begin(), dynamic_pass.end());
-    std::vector<std::string> final_set;
-    for (const std::string& key : after_jaccard) {
-      if (dynamic_pass_set.count(key) > 0) final_set.push_back(key);
+        euclidean(Space::kDynamic, dynamic, theta, &pass_distances);
+    // Both lists are sorted: intersect by merging.
+    size_t d = 0;
+    for (const EntryRef& e : visit.passed) {
+      while (d < dynamic_pass.size() && dynamic_pass[d] < e->job_key) ++d;
+      if (d == dynamic_pass.size()) break;
+      if (dynamic_pass[d] == e->job_key) add(*e, pass_distances[d]);
     }
-    RecordStage(side_trace, "dynamic", after_jaccard.size(),
-                final_set.size(), ThetaDetail(theta));
-    if (final_set.empty()) return result;
-    return finish(final_set, categorical_probe, dynamic,
-                  MatchPath::kFullPath);
+    RecordStage(side_trace, "dynamic", visit.passed.size(), keys.size(),
+                ThetaDetail(theta));
+    if (keys.empty()) return result;
+    return finish(MatchPath::kFullPath);
   }
-
-  if (!after_jaccard.empty()) {
-    return finish(after_jaccard, categorical_probe, dynamic,
-                  MatchPath::kFullPath);
+  if (!visit.passed.empty()) {
+    // Static-only mode has no dynamic criterion: every distance reads 0.
+    for (size_t j = 0; j < visit.passed.size(); ++j) {
+      add(*visit.passed[j],
+          distances.empty() ? 0.0 : distances[visit.passed_at[j]]);
+    }
+    return finish(MatchPath::kFullPath);
   }
+  if (options_.static_only) return result;
 
   // The static filters emptied the set: the job was never executed here.
   // Alternative filter — Euclidean distance over the cost factors of the
@@ -408,21 +382,26 @@ Result<SideMatch> MultiStageMatcher::MatchSide(
   if (!options_.use_cost_factor_fallback) return result;
   const double cost_theta = ThetaEuclidean(costs.size());
   const std::vector<std::string> fallback =
-      euclidean(Space::kCost, costs, cost_theta);
-  // Intersect with the decoded dynamic survivors: the fallback refines
-  // C', it does not resurrect profiles the dynamic filter rejected.
-  std::unordered_set<std::string> survivor_set;
-  for (const EntryRef& e : survivors) survivor_set.insert(e->job_key);
-  std::vector<std::string> refined;
-  for (const std::string& key : fallback) {
-    if (survivor_set.count(key) > 0) refined.push_back(key);
+      euclidean(Space::kCost, costs, cost_theta, nullptr);
+  // Intersect with the found dynamic survivors, merging the two sorted
+  // key lists: the fallback refines C', it does not resurrect profiles
+  // the dynamic filter rejected. Static features already failed, so only
+  // input size and dynamic closeness break the tie.
+  size_t f = 0;
+  for (size_t j = 0; j < visit.found.size(); ++j) {
+    const std::string& key = candidates[visit.found[j]];
+    while (f < fallback.size() && fallback[f] < key) ++f;
+    if (f == fallback.size()) break;
+    if (fallback[f] != key) continue;
+    keys.push_back(&key);
+    scores.push_back(TieScores{
+        0.0, std::fabs(visit.input_bytes[j] - probe.input_data_bytes),
+        distances[visit.found[j]]});
   }
   RecordStage(side_trace, "cost_factor_fallback", candidates.size(),
-              refined.size(), ThetaDetail(cost_theta));
-  if (refined.empty()) return result;
-  // Fallback tie-break: static features already failed, so only input
-  // size and dynamic closeness apply.
-  return finish(refined, {}, dynamic, MatchPath::kCostFactorFallback);
+              keys.size(), ThetaDetail(cost_theta));
+  if (keys.empty()) return result;
+  return finish(MatchPath::kCostFactorFallback);
 }
 
 Result<MatchResult> MultiStageMatcher::Match(

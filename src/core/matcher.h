@@ -77,14 +77,17 @@ struct MatchResult {
 /// stored entry. Each gives the answer the row filter behind
 /// ProfileStore::CfgMatchScan / CallSetScan / JaccardScan gives for the
 /// entry's Static row; tests/core/matcher_funnel_test.cc holds them to it.
-bool CfgStagePasses(Side side, const staticanalysis::Cfg& probe,
+/// `probe_cfg_key` is staticanalysis::CfgMatchKey of the probe's side CFG:
+/// the stage is a string compare with the entry's cached key, equal
+/// exactly when MatchCfgs (the row filter's test) holds.
+bool CfgStagePasses(Side side, const std::string& probe_cfg_key,
                     const StoredEntry& entry);
 /// `probe_calls` is the probe's call set joined with ',', the form the
 /// store writes.
 bool CallSetStagePasses(Side side, const std::string& probe_calls,
                         const StoredEntry& entry);
 /// With `include_user_params`, `probe` carries the user-parameter string
-/// as its last element.
+/// as its last element. Reads the entry's features in place.
 bool JaccardStagePasses(Side side, const std::vector<std::string>& probe,
                         double theta, bool include_user_params,
                         const StoredEntry& entry);
@@ -99,10 +102,14 @@ bool JaccardStagePasses(Side side, const std::vector<std::string>& probe,
 /// it falls back to a Euclidean filter over the Table 4.2 cost factors.
 ///
 /// Stage 1 and the alternative filter run on the store's match index
-/// (ProfileStore::EuclideanCandidates). Each stage-1 survivor is then
-/// decoded once through ProfileStore::GetEntryRef, and stages 2-3 run on
-/// those entries in sorted-key order. A survivor whose rows fail to
-/// decode drops out of the funnel and is counted in
+/// (ProfileStore::EuclideanCandidates), which also returns each stage-1
+/// survivor's normalized distance. Stages 2-3 then run in one
+/// ProfileStore::VisitEntries pass over the survivors' decoded entries,
+/// which keeps the entries that pass and records every survivor's input
+/// size. The tie-break and the cost-factor fallback read those arrays
+/// instead of fetching candidates again; only Match's stitch reads the
+/// winning entries. A survivor whose rows fail to decode drops out of the
+/// funnel and is counted in
 /// pstorm_matcher_corrupt_candidates_total; it never fails the match.
 class MultiStageMatcher {
  public:
@@ -132,7 +139,10 @@ class MultiStageMatcher {
   /// data size, then the smallest dynamic distance — the last two exactly
   /// as the thesis motivates via Figure 4.6. Pass empty `categorical` /
   /// `dynamic` to skip the respective criterion (fallback path).
-  /// Exposed for tests and benches.
+  /// This form fetches each candidate by key and skips one that is gone;
+  /// MatchSide scores its survivors from the arrays its visit recorded,
+  /// and both apply one comparison rule. Exposed as the tests' oracle and
+  /// for benches.
   Result<std::string> TieBreak(Side side,
                                const std::vector<std::string>& candidates,
                                const std::vector<std::string>& categorical,

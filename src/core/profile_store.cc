@@ -354,14 +354,18 @@ Status ProfileStore::RecountProfiles() {
   return Status::OK();
 }
 
+size_t ProfileStore::ShardIndex(const std::string& job_key) {
+  return std::hash<std::string>{}(job_key) % kCacheShards;
+}
+
 ProfileStore::CacheShard& ProfileStore::ShardFor(
     const std::string& job_key) const {
-  return entry_cache_[std::hash<std::string>{}(job_key) % kCacheShards];
+  return entry_cache_[ShardIndex(job_key)];
 }
 
 void ProfileStore::InvalidateEntry(const std::string& job_key) {
   CacheShard& shard = ShardFor(job_key);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::unique_lock<std::shared_mutex> lock(shard.mu);
   EntryCacheEntries().Add(-static_cast<int64_t>(shard.map.erase(job_key)));
   ++shard.epoch;
 }
@@ -536,7 +540,7 @@ Result<StoredEntry> ProfileStore::GetEntry(const std::string& job_key) const {
 size_t ProfileStore::entry_cache_size() const {
   size_t total = 0;
   for (CacheShard& shard : entry_cache_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
     total += shard.map.size();
   }
   return total;
@@ -548,7 +552,7 @@ Result<std::shared_ptr<const StoredEntry>> ProfileStore::GetEntryRef(
   CacheShard& shard = ShardFor(job_key);
   uint64_t epoch_at_miss;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
     auto it = shard.map.find(job_key);
     if (it != shard.map.end()) {
       EntryCacheHits().Increment();
@@ -597,6 +601,8 @@ Result<std::shared_ptr<const StoredEntry>> ProfileStore::GetEntryRef(
   PSTORM_ASSIGN_OR_RETURN(f.map_cfg, staticanalysis::ParseCfg(cfg_text));
   PSTORM_RETURN_IF_ERROR(read_string(kRedCfgColumn, &cfg_text));
   PSTORM_ASSIGN_OR_RETURN(f.reduce_cfg, staticanalysis::ParseCfg(cfg_text));
+  entry.map_cfg_key = staticanalysis::CfgMatchKey(f.map_cfg);
+  entry.reduce_cfg_key = staticanalysis::CfgMatchKey(f.reduce_cfg);
   // Extension columns: absent in stores written before §7.2 support.
   if (const std::string* raw = statics.GetValue(kFamily, kUserParamsColumn)) {
     f.user_params = *raw;
@@ -613,7 +619,7 @@ Result<std::shared_ptr<const StoredEntry>> ProfileStore::GetEntryRef(
 
   auto shared = std::make_shared<const StoredEntry>(std::move(entry));
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
+    std::unique_lock<std::shared_mutex> lock(shard.mu);
     // Only cache what no mutation invalidated while we were decoding; a
     // racing reader's copy is still correct to *return* (it reflects some
     // point-in-time state) but must not outlive the invalidation.
@@ -623,6 +629,71 @@ Result<std::shared_ptr<const StoredEntry>> ProfileStore::GetEntryRef(
     }
   }
   return shared;
+}
+
+Status ProfileStore::VisitEntries(
+    const std::vector<std::string>& keys,
+    const std::function<bool(const StoredEntry&)>& pred,
+    EntryVisit* visit) const {
+  *visit = EntryVisit{};
+  const uint32_t n = static_cast<uint32_t>(keys.size());
+  std::array<std::vector<uint32_t>, kCacheShards> by_shard;
+  for (uint32_t i = 0; i < n; ++i) by_shard[ShardIndex(keys[i])].push_back(i);
+
+  // Per position: whether the entry was found, and its input size. Only
+  // the entries that pass `pred` are shared out of the cache.
+  std::vector<char> found(n, 0);
+  std::vector<double> input_bytes(n);
+  std::vector<std::pair<uint32_t, std::shared_ptr<const StoredEntry>>> passed;
+  std::vector<uint32_t> misses;
+  const auto take = [&](uint32_t i,
+                        const std::shared_ptr<const StoredEntry>& entry) {
+    found[i] = 1;
+    input_bytes[i] = entry->profile.input_data_bytes;
+    if (pred(*entry)) passed.emplace_back(i, entry);
+  };
+  for (size_t s = 0; s < kCacheShards; ++s) {
+    if (by_shard[s].empty()) continue;
+    CacheShard& shard = entry_cache_[s];
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
+    for (uint32_t i : by_shard[s]) {
+      auto it = shard.map.find(keys[i]);
+      if (it == shard.map.end()) {
+        misses.push_back(i);
+      } else {
+        take(i, it->second);
+      }
+    }
+  }
+  visit->cache_hits = n - misses.size();
+  EntryCacheHits().Add(visit->cache_hits);
+  for (uint32_t i : misses) {
+    bool cache_hit = false;
+    auto entry = GetEntryRef(keys[i], &cache_hit);
+    ++(cache_hit ? visit->cache_hits : visit->cache_misses);
+    if (entry.ok()) {
+      take(i, entry.value());
+    } else if (entry.status().IsCorruption()) {
+      ++visit->corrupt;
+    } else if (!entry.status().IsNotFound()) {
+      return entry.status();
+    }
+  }
+
+  std::sort(passed.begin(), passed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  visit->passed.reserve(passed.size());
+  visit->passed_at.reserve(passed.size());
+  for (auto& [i, entry] : passed) {
+    visit->passed_at.push_back(i);
+    visit->passed.push_back(std::move(entry));
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    if (!found[i]) continue;
+    visit->found.push_back(i);
+    visit->input_bytes.push_back(input_bytes[i]);
+  }
+  return Status::OK();
 }
 
 Status ProfileStore::DeleteProfile(const std::string& job_key) {
@@ -714,7 +785,8 @@ ProfileStore::MatchIndexCostSnapshot(Side side) const {
 
 std::vector<std::string> ProfileStore::EuclideanCandidates(
     Side side, Space space, const std::vector<double>& probe, double theta,
-    VectorSpaceIndex::QueryStats* stats) const {
+    VectorSpaceIndex::QueryStats* stats,
+    std::vector<double>* distances) const {
   const bool dynamic = space == Space::kDynamic;
   const FeatureBounds bounds = dynamic ? DynamicBounds(side) : CostBounds(side);
   const std::vector<double> ranges = EffectiveRanges(bounds.mins, bounds.maxs);
@@ -723,7 +795,7 @@ std::vector<std::string> ProfileStore::EuclideanCandidates(
   const int s = static_cast<int>(side);
   std::shared_lock<std::shared_mutex> lock(index_mu_);
   auto out = (dynamic ? index_.dynamic_space(s) : index_.cost_space(s))
-                 .Lookup(probe, theta, bounds.mins, ranges, &q);
+                 .Lookup(probe, theta, bounds.mins, ranges, &q, distances);
   lock.unlock();
   static obs::Counter& lookups = obs::MetricsRegistry::Global().GetCounter(
       "pstorm_match_index_lookups_total");

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,6 +36,10 @@ struct StoredEntry {
   std::string job_key;
   profiler::ExecutionProfile profile;
   staticanalysis::StaticFeatures statics;
+  /// staticanalysis::CfgMatchKey of each side's CFG under the default
+  /// options, computed at decode: the matcher's CFG stage compares these.
+  std::string map_cfg_key;
+  std::string reduce_cfg_key;
   /// Whether the Static row carries each §7.2 extension column. Rows
   /// written before that support lack them; `statics` then reads them as
   /// empty, and the matcher's call-set and user-parameter stages reject
@@ -123,9 +128,8 @@ class ProfileStore {
   Result<StoredEntry> GetEntry(const std::string& job_key) const;
 
   /// Like GetEntry but shares the store's decoded-entry cache: repeated
-  /// probes of the same rows (the matcher's stages 2-3 and tie-break,
-  /// composite stitches) skip re-deserializing the payload blob and
-  /// re-parsing both CFGs.
+  /// reads of the same rows (the match stitch, a VisitEntries miss) skip
+  /// re-deserializing the payload blob and re-parsing both CFGs.
   /// The returned entry is immutable and stays valid after invalidation.
   /// Cache rule: an entry is invalidated by the PutProfile or
   /// DeleteProfile of its own job key, and by nothing else.
@@ -133,6 +137,34 @@ class ProfileStore {
   /// the request; corrupt or missing rows leave it false.
   Result<std::shared_ptr<const StoredEntry>> GetEntryRef(
       const std::string& job_key, bool* cache_hit = nullptr) const;
+
+  /// What VisitEntries saw of a key list.
+  struct EntryVisit {
+    /// Positions in the key list of the keys whose entry was found, cached
+    /// or decoded, ascending; and each one's profile.input_data_bytes.
+    std::vector<uint32_t> found;
+    std::vector<double> input_bytes;
+    /// The found entries that passed the predicate, in key order, and
+    /// their positions in the key list.
+    std::vector<std::shared_ptr<const StoredEntry>> passed;
+    std::vector<uint32_t> passed_at;
+    /// Keys served from the decoded-entry cache, and the rest.
+    uint64_t cache_hits = 0;
+    uint64_t cache_misses = 0;
+    /// Keys whose rows failed to decode (a Corruption).
+    uint64_t corrupt = 0;
+  };
+
+  /// One pass over the entries of `keys` (unique; the results keep their
+  /// order): the matcher's stages 2-3 over the stage-1 survivors. Takes
+  /// each cache shard's lock once, shared, and runs `pred` on each cached
+  /// entry in place under it, so `pred` must not call back into the
+  /// store; an uncached key is decoded through GetEntryRef. A key that is
+  /// gone (NotFound) or whose rows fail to decode is skipped; any other
+  /// error is returned.
+  Status VisitEntries(const std::vector<std::string>& keys,
+                      const std::function<bool(const StoredEntry&)>& pred,
+                      EntryVisit* visit) const;
 
   /// Decoded entries currently cached (tests/diagnostics). The
   /// pstorm_store_entry_cache_entries gauge sums this over every open
@@ -162,10 +194,13 @@ class ProfileStore {
   /// exactly what DynamicEuclideanScan / CostEuclideanScan return, but
   /// enumerates only the cells near the probe (dynamic space) and
   /// verifies the candidates with the vectorized kernel instead of
-  /// scanning every Dynamic row.
+  /// scanning every Dynamic row. `distances` (optional) receives each
+  /// returned key's normalized distance, the value the matcher's
+  /// tie-break computes for it under the same bounds.
   std::vector<std::string> EuclideanCandidates(
       Side side, Space space, const std::vector<double>& probe, double theta,
-      VectorSpaceIndex::QueryStats* stats = nullptr) const;
+      VectorSpaceIndex::QueryStats* stats = nullptr,
+      std::vector<double>* distances = nullptr) const;
 
   /// The same filters as region scans pushed down to the regions, the
   /// thesis's own plan (§5.3). They serve as the differential oracle of
@@ -282,15 +317,17 @@ class ProfileStore {
   Status RecountProfiles();
 
   /// One stripe of the decoded-entry cache. The mutex guards the map and
-  /// epoch; the entries themselves are immutable shared values. The epoch
+  /// epoch: shared for reads, exclusive to insert or invalidate; the
+  /// entries themselves are immutable shared values. The epoch
   /// advances on every invalidation, so a reader that decoded its entry
   /// before a concurrent mutation can tell its copy is stale and skip
   /// caching it (coherence: the cache never outlives an invalidation).
   struct CacheShard {
-    std::mutex mu;
+    std::shared_mutex mu;
     uint64_t epoch = 0;
     std::unordered_map<std::string, std::shared_ptr<const StoredEntry>> map;
   };
+  static size_t ShardIndex(const std::string& job_key);
   CacheShard& ShardFor(const std::string& job_key) const;
   /// Drops `job_key`'s decoded entry and advances its shard's epoch.
   void InvalidateEntry(const std::string& job_key);

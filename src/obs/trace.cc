@@ -32,9 +32,6 @@ void AppendSide(std::ostringstream& out, const SideTrace& side) {
   }
   if (side.tie_break_candidates > 0) {
     out << "    tie-break: " << side.tie_break_candidates << " candidates";
-    if (side.tie_break_vanished > 0) {
-      out << ", " << side.tie_break_vanished << " vanished mid-match";
-    }
     if (!side.winner_job_key.empty()) {
       out << ", winner=" << side.winner_job_key << " score="
           << side.winner_score;

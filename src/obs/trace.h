@@ -27,16 +27,15 @@ struct SideTrace {
   std::string path;            // "full", "cost_factor_fallback", "no_match"
   std::vector<StageTrace> stages;
   uint64_t tie_break_candidates = 0;
-  uint64_t tie_break_vanished = 0;  // candidates deleted mid-match
-  std::string winner_job_key;       // empty when no match survived
+  std::string winner_job_key;  // empty when no match survived
   double winner_score = 0.0;
 };
 
 /// Store-side effort for one submission, accumulated across both sides.
 /// Each match-index lookup (stage 1, the alternative filter) counts as a
-/// scan whose verified candidates count as rows scanned; stages 2-3 and
-/// the tie-break count as entry gets, one per candidate decoded or served
-/// from the entry cache.
+/// scan whose verified candidates count as rows scanned; the stage 2-3
+/// visit counts one entry get per stage-1 survivor, decoded or served
+/// from the entry cache, and the stitch one per matched side.
 struct StoreOpsTrace {
   uint64_t scans = 0;
   uint64_t rows_scanned = 0;

@@ -1,6 +1,8 @@
 #include "profiler/profile.h"
 
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <map>
 
 #include "common/strings.h"
@@ -117,7 +119,18 @@ class FieldReader {
     return value;
   }
 
-  int GetInt(const char* key) { return static_cast<int>(GetDouble(key)); }
+  /// A count: a finite value in [0, INT_MAX], truncated to int. Anything
+  /// else is Corruption, never a cast whose result is undefined.
+  int GetInt(const char* key) {
+    const double value = GetDouble(key);
+    if (!status_.ok()) return 0;
+    if (!(value >= 0 && value <= std::numeric_limits<int>::max())) {
+      status_ = Status::Corruption(std::string("count out of range for ") +
+                                   key);
+      return 0;
+    }
+    return static_cast<int>(value);
+  }
 
  private:
   std::map<std::string, std::string> fields_;

@@ -1,7 +1,10 @@
 #include "staticanalysis/cfg_matcher.h"
 
+#include <cstdint>
 #include <queue>
 #include <vector>
+
+#include "common/coding.h"
 
 namespace pstorm::staticanalysis {
 
@@ -54,6 +57,47 @@ bool MatchCfgs(const Cfg& a, const Cfg& b, CfgMatchOptions options) {
     }
   }
   return true;
+}
+
+std::string CfgMatchKey(const Cfg& cfg, CfgMatchOptions options) {
+  std::string key;
+  if (cfg.empty()) return key;
+  const auto& nodes = cfg.nodes();
+  const int n = static_cast<int>(nodes.size());
+  // Outside [0, n): MatchCfgs would index out of bounds. A fixed byte that
+  // no node encoding starts with keeps the key computable.
+  if (cfg.entry() < 0 || cfg.entry() >= n) return std::string(1, '\xff');
+
+  // The BFS of MatchCfgs on one graph: MatchCfgs pairs the i-th node
+  // discovered in `a` with the i-th discovered in `b`, so two graphs match
+  // exactly when this walk reads the same in both. Every field is
+  // length-determined (the kind says whether a statement count follows,
+  // the degree how many successors), so equal keys mean equal walks.
+  std::vector<int> id(nodes.size(), -1);
+  std::vector<int> order = {cfg.entry()};
+  id[cfg.entry()] = 0;
+  for (size_t next = 0; next < order.size(); ++next) {
+    const CfgNode& node = nodes[order[next]];
+    key.push_back(static_cast<char>(node.kind));
+    PutVarint64(&key, node.successors.size());
+    if (options.compare_block_sizes && node.kind == CfgNodeKind::kBlock) {
+      PutVarint32(&key, static_cast<uint32_t>(node.stmt_count));
+    }
+    for (int succ : node.successors) {
+      // 0 marks a missing successor: MatchCfgs equates any two negative
+      // ones. Discovery ids are written plus one.
+      if (succ < 0 || succ >= n) {
+        PutVarint32(&key, 0);
+        continue;
+      }
+      if (id[succ] == -1) {
+        id[succ] = static_cast<int>(order.size());
+        order.push_back(succ);
+      }
+      PutVarint32(&key, static_cast<uint32_t>(id[succ]) + 1);
+    }
+  }
+  return key;
 }
 
 }  // namespace pstorm::staticanalysis

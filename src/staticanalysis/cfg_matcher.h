@@ -1,6 +1,8 @@
 #ifndef PSTORM_STATICANALYSIS_CFG_MATCHER_H_
 #define PSTORM_STATICANALYSIS_CFG_MATCHER_H_
 
+#include <string>
+
 #include "staticanalysis/cfg.h"
 
 namespace pstorm::staticanalysis {
@@ -19,6 +21,18 @@ struct CfgMatchOptions {
 /// 1/0 match semantics — there is no partial CFG score.
 bool MatchCfgs(const Cfg& a, const Cfg& b,
                CfgMatchOptions options = CfgMatchOptions());
+
+/// A canonical key of the CFG such that, under the same options,
+/// `CfgMatchKey(a) == CfgMatchKey(b)` exactly when `MatchCfgs(a, b)`.
+/// It lists the nodes reachable from the entry in BFS-discovery order
+/// (the order MatchCfgs pairs them in), each as its kind, its out-degree,
+/// its statement count (blocks only, under `compare_block_sizes`) and its
+/// successors' discovery ids. The empty CFG has the empty key. Binary,
+/// not for display. A successor outside the node list reads as missing
+/// (BuildCfg and ParseCfg never produce one; MatchCfgs would index out of
+/// bounds on it).
+std::string CfgMatchKey(const Cfg& cfg,
+                        CfgMatchOptions options = CfgMatchOptions());
 
 }  // namespace pstorm::staticanalysis
 

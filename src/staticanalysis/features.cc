@@ -2,13 +2,29 @@
 
 namespace pstorm::staticanalysis {
 
+std::array<const std::string*, 7> StaticFeatures::MapCategoricalFields()
+    const {
+  return {&in_formatter, &mapper,      &map_in_key, &map_in_val,
+          &map_out_key,  &map_out_val, &combiner};
+}
+
+std::array<const std::string*, 4> StaticFeatures::ReduceCategoricalFields()
+    const {
+  return {&reducer, &red_out_key, &red_out_val, &out_formatter};
+}
+
 std::vector<std::string> StaticFeatures::MapCategorical() const {
-  return {in_formatter, mapper,      map_in_key, map_in_val,
-          map_out_key,  map_out_val, combiner};
+  std::vector<std::string> out;
+  for (const std::string* field : MapCategoricalFields()) out.push_back(*field);
+  return out;
 }
 
 std::vector<std::string> StaticFeatures::ReduceCategorical() const {
-  return {reducer, red_out_key, red_out_val, out_formatter};
+  std::vector<std::string> out;
+  for (const std::string* field : ReduceCategoricalFields()) {
+    out.push_back(*field);
+  }
+  return out;
 }
 
 StaticFeatures ExtractStaticFeatures(const MrProgram& program) {

@@ -1,6 +1,7 @@
 #ifndef PSTORM_STATICANALYSIS_FEATURES_H_
 #define PSTORM_STATICANALYSIS_FEATURES_H_
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,9 @@ struct StaticFeatures {
   std::vector<std::string> MapCategorical() const;
   /// The reduce-side categorical features, in Table 4.3 order.
   std::vector<std::string> ReduceCategorical() const;
+  /// The same features in place, for comparisons that copy nothing.
+  std::array<const std::string*, 7> MapCategoricalFields() const;
+  std::array<const std::string*, 4> ReduceCategoricalFields() const;
 };
 
 /// Static analysis of a program: extracts class/type names directly and

@@ -7,15 +7,20 @@
 // store of 1,000 profiles, for every probe, both sides and each option set,
 // every stage must keep the same keys in the same order, and MatchSide must
 // return the row-scan funnel's SideMatch. Both stores hold one profile
-// whose Static row predates the §7.2 extension columns. The last two tests
-// pin the rule for a stage-1 survivor whose rows fail to decode.
+// whose Static row predates the §7.2 extension columns. Two tests pin the
+// rule for a stage-1 survivor whose rows fail to decode, one holds the
+// cost-factor fallback to the row scans' refined set, and the last races
+// matches against writes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -24,6 +29,8 @@
 #include "core/matcher.h"
 #include "core/profile_store.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "staticanalysis/cfg_matcher.h"
 #include "storage/env.h"
 #include "tools/synthetic_corpus.h"
 
@@ -152,8 +159,10 @@ void ExpectFunnelMatchesOracle(const ProfileStore& store,
   for (const std::string& key : run.stage1) {
     entries.push_back(store.GetEntryRef(key).value());
   }
+  const std::string cfg_key =
+      staticanalysis::CfgMatchKey(map ? probe.map_cfg : probe.reduce_cfg);
   const std::vector<EntryRef> cfg = Keep(entries, [&](const StoredEntry& e) {
-    return CfgStagePasses(side, map ? probe.map_cfg : probe.reduce_cfg, e);
+    return CfgStagePasses(side, cfg_key, e);
   });
   ASSERT_EQ(KeysOf(cfg), run.cfg);
   const std::vector<EntryRef> call_set =
@@ -375,6 +384,142 @@ TEST_F(MatcherFunnelTest, CorruptPayloadDropsTheCandidate) {
   EXPECT_EQ(got->reduce_source, without->reduce_source);
   EXPECT_EQ(got->map_side.path, without->map_side.path);
   EXPECT_EQ(got->reduce_side.path, without->reduce_side.path);
+}
+
+// The cost-factor fallback, probed with the Table 6.1 jobs against the
+// synthetic store: its archetypes share none of their CFGs, so stages 2-3
+// empty most sides and the alternative filter decides. The funnel must
+// refine exactly the row scans' C' ∩ cost-filter set and pick the
+// TieBreak(keys) winner from it.
+TEST_F(MatcherFunnelTest, FallbackRefinesExactlyTheRowScanSet) {
+  tools::SyntheticCorpusOptions corpus_options;
+  corpus_options.num_profiles = 1000;
+  const tools::SyntheticCorpus corpus(corpus_options);
+  ProfileStoreOptions store_options;
+  store_options.eager_flush = false;
+  auto store =
+      ProfileStore::Open(env_, "/funnel-fallback", store_options).value();
+  ASSERT_TRUE(corpus.LoadInto(store.get()).ok());
+  const MultiStageMatcher matcher(store.get());
+
+  size_t fallbacks = 0;
+  for (const CorpusItem& item : corpus_->items) {
+    const JobFeatureVector probe = ProbeOf(item);
+    for (Side side : {Side::kMap, Side::kReduce}) {
+      SCOPED_TRACE(item.job_key + (side == Side::kMap ? " map" : " reduce"));
+      obs::SideTrace trace;
+      const SideMatch got = matcher.MatchSide(side, probe, &trace).value();
+      if (got.path != MatchPath::kCostFactorFallback) continue;
+      ++fallbacks;
+      const bool map = side == Side::kMap;
+      const std::vector<double>& dynamic =
+          map ? probe.map_dynamic : probe.reduce_dynamic;
+      const std::vector<double>& costs =
+          map ? probe.map_costs : probe.reduce_costs;
+      const std::vector<std::string> refined = Intersect(
+          store
+              ->CostEuclideanScan(
+                  side, costs,
+                  0.5 * std::sqrt(static_cast<double>(costs.size())))
+              .value(),
+          store
+              ->DynamicEuclideanScan(
+                  side, dynamic,
+                  0.5 * std::sqrt(static_cast<double>(dynamic.size())))
+              .value());
+      ASSERT_FALSE(trace.stages.empty());
+      EXPECT_EQ(trace.stages.back().name, "cost_factor_fallback");
+      EXPECT_EQ(trace.stages.back().candidates_out, refined.size());
+      EXPECT_EQ(trace.tie_break_candidates, refined.size());
+      EXPECT_EQ(got.job_key, matcher
+                                 .TieBreak(side, refined, {}, dynamic,
+                                           probe.input_data_bytes)
+                                 .value());
+    }
+  }
+  EXPECT_GT(fallbacks, 20u);
+}
+
+// Four threads match against a 1,000-profile store while a writer deletes
+// and re-puts profiles that every probe's stage 1 passes, so the visit
+// reads the entry cache under its shard locks while puts and deletes
+// invalidate it. Under TSan this is the funnel's race check. In any build,
+// every side a match finds must name a key that was stored at some point.
+TEST_F(MatcherFunnelTest, MatchesRaceRePutsAndDeletesOfSurvivors) {
+  tools::SyntheticCorpusOptions corpus_options;
+  corpus_options.num_profiles = 1000;
+  const tools::SyntheticCorpus corpus(corpus_options);
+  ProfileStoreOptions store_options;
+  store_options.eager_flush = false;
+  auto store =
+      ProfileStore::Open(env_, "/funnel-race", store_options).value();
+  ASSERT_TRUE(corpus.LoadInto(store.get()).ok());
+  std::unordered_set<std::string> ever_stored;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    ever_stored.insert(corpus.Make(i).job_key);
+  }
+
+  // One probe per archetype (profile i is archetype i % 12). The victims
+  // are the profiles each probe was made from and three more of its
+  // archetype: its likeliest winners.
+  std::vector<JobFeatureVector> probes;
+  std::vector<tools::SyntheticProfile> victims;
+  for (size_t q = 0; q < 12; ++q) {
+    const tools::SyntheticProfile p = corpus.MakeProbe(q * 83 + 1);
+    probes.push_back(BuildFeatureVector(p.profile, p.statics));
+    for (size_t k = 0; k < 4; ++k) {
+      victims.push_back(corpus.Make(q * 83 + 1 + 12 * k));
+    }
+  }
+  // The victims are stage-1 survivors of their probes before the race.
+  for (size_t v = 0; v < victims.size(); ++v) {
+    const JobFeatureVector& probe = probes[v / 4];
+    const double theta =
+        0.5 * std::sqrt(static_cast<double>(probe.map_dynamic.size()));
+    const std::vector<std::string> stage1 = store->EuclideanCandidates(
+        Side::kMap, Space::kDynamic, probe.map_dynamic, theta);
+    ASSERT_TRUE(std::binary_search(stage1.begin(), stage1.end(),
+                                   victims[v].job_key))
+        << victims[v].job_key;
+  }
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<uint64_t> found{0}, failures{0}, strangers{0};
+  const MultiStageMatcher matcher(store.get());
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t i = t; !writer_done.load() || i < t + 24; ++i) {
+        const auto match = matcher.Match(probes[i % probes.size()]);
+        if (!match.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (const SideMatch* side : {&match->map_side, &match->reduce_side}) {
+          if (side->path != MatchPath::kNoMatch &&
+              ever_stored.count(side->job_key) == 0) {
+            strangers.fetch_add(1);
+          }
+        }
+        if (match->found) found.fetch_add(1);
+      }
+    });
+  }
+  for (int round = 0; round < 6; ++round) {
+    for (const tools::SyntheticProfile& v : victims) {
+      const Status status =
+          round % 2 == 0 ? store->DeleteProfile(v.job_key)
+                         : store->PutProfile(v.job_key, v.profile, v.statics);
+      EXPECT_TRUE(status.ok()) << status;
+    }
+  }
+  writer_done.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(strangers.load(), 0u);
+  EXPECT_GT(found.load(), 0u);
+  EXPECT_EQ(store->num_profiles(), corpus.size());
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "jobs/benchmark_jobs.h"
 #include "jobs/datasets.h"
@@ -178,6 +180,43 @@ TEST_F(ProfilerTest, ParseRejectsGarbage) {
   // Whether the replacement hit the value or not, the parse must either
   // succeed cleanly or flag corruption — here it must fail on "abc...".
   EXPECT_FALSE(ExecutionProfile::Parse(text).ok());
+}
+
+/// `text` with the value of its `key=` line replaced by `value`.
+std::string WithField(std::string text, const std::string& key,
+                      const std::string& value) {
+  const size_t start = text.find("\n" + key + "=");
+  EXPECT_NE(start, std::string::npos) << key;
+  const size_t value_at = start + key.size() + 2;
+  text.replace(value_at, text.find('\n', value_at) - value_at, value);
+  return text;
+}
+
+TEST_F(ProfilerTest, ParseRejectsTaskCountsOutsideIntRange) {
+  const jobs::BenchmarkJob wc = jobs::WordCount();
+  const auto data = DataSet(jobs::kRandomText1Gb);
+  auto profiled = profiler_.ProfileFullRun(wc.spec, data, TunedConfig(), 7);
+  ASSERT_TRUE(profiled.ok());
+  const std::string text = profiled->profile.Serialize();
+  // Converting any of these to int is undefined behaviour.
+  for (const char* key : {"m.num_tasks", "r.num_tasks"}) {
+    for (const char* bad : {"1e300", "-1e300", "inf", "-inf", "nan", "-1",
+                            "2147483648", "1e10"}) {
+      const auto parsed = ExecutionProfile::Parse(WithField(text, key, bad));
+      EXPECT_TRUE(parsed.status().IsCorruption())
+          << key << "=" << bad << ": " << parsed.status();
+    }
+    // The ends of the range still parse, and a fraction truncates.
+    for (const auto& [raw, want] :
+         {std::pair<const char*, int>{"0", 0}, {"2147483647", 2147483647},
+          {"3.9", 3}}) {
+      const auto parsed = ExecutionProfile::Parse(WithField(text, key, raw));
+      ASSERT_TRUE(parsed.ok()) << key << "=" << raw << ": " << parsed.status();
+      EXPECT_EQ(key[0] == 'm' ? parsed->map_side.num_tasks
+                              : parsed->reduce_side.num_tasks,
+                want);
+    }
+  }
 }
 
 TEST_F(ProfilerTest, FeatureNameTablesMatchVectorSizes) {

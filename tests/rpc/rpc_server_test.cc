@@ -14,6 +14,7 @@
 #include "jobs/datasets.h"
 #include "mrsim/cluster.h"
 #include "mrsim/simulator.h"
+#include "profiler/profiler.h"
 #include "rpc/client.h"
 #include "rpc/shard_router.h"
 #include "rpc/wire.h"
@@ -324,6 +325,47 @@ TEST_F(RpcServerTest, HostileJobParamsGetInvalidArgumentNotAbort) {
   valid.job_name = "word-cooccurrence-pairs-w4";
   valid.job_param = 0;
   EXPECT_TRUE(client->SubmitJob(valid).ok());
+}
+
+TEST_F(RpcServerTest, PutProfileWithOutOfRangeTaskCountIsRejected) {
+  StartServer();
+  auto client = Connect();
+  const jobs::BenchmarkJob job = jobs::WordCount();
+  const profiler::Profiler profiler(&simulator_);
+  auto profiled = profiler.ProfileFullRun(
+      job.spec, jobs::FindDataSet(jobs::kRandomText1Gb).value(),
+      mrsim::Configuration{}, 1);
+  ASSERT_TRUE(profiled.ok()) << profiled.status();
+  PutProfileRequest request;
+  request.tenant = "t";
+  request.job_key = "word-count@hostile";
+  request.statics = staticanalysis::ExtractStaticFeatures(job.program);
+  const std::string text = profiled->profile.Serialize();
+  const size_t at = text.find("\nm.num_tasks=");
+  ASSERT_NE(at, std::string::npos);
+  const size_t value_at = at + sizeof("\nm.num_tasks=") - 1;
+  auto profiles = [&] {
+    const GetStatsResponse stats = client->GetStats().value();
+    uint64_t total = 0;
+    for (const ShardStatsEntry& shard : stats.shards) {
+      total += shard.num_profiles;
+    }
+    return total;
+  };
+
+  // A remote body reaches ExecutionProfile::Parse, where converting these
+  // values to int would be undefined behaviour.
+  for (const char* hostile : {"1e300", "inf", "nan"}) {
+    request.profile_text = text;
+    request.profile_text.replace(
+        value_at, text.find('\n', value_at) - value_at, hostile);
+    const Status status = client->PutProfile(request);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << hostile << status;
+    EXPECT_EQ(profiles(), 0u) << hostile;
+  }
+  request.profile_text = text;
+  ASSERT_TRUE(client->PutProfile(request).ok());
+  EXPECT_EQ(profiles(), 1u);
 }
 
 TEST_F(RpcServerTest, UniqueTenantNamesDoNotAccumulateQuotaState) {

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
+#include "jobs/benchmark_jobs.h"
 #include "staticanalysis/cfg_matcher.h"
+#include "staticanalysis/features.h"
+#include "tools/synthetic_corpus.h"
 
 namespace pstorm::staticanalysis {
 namespace {
@@ -138,6 +147,244 @@ TEST(CfgMatcherTest, NestedLoopOrderMatters) {
   const Cfg loop_if = BuildCfg({"f", Loop("l", If("c", Emit()))});
   const Cfg if_loop = BuildCfg({"f", If("c", Loop("l", Emit()))});
   EXPECT_FALSE(MatchCfgs(loop_if, if_loop));
+}
+
+// ---- CfgMatchKey: equal keys exactly when MatchCfgs holds ----
+
+/// The map and reduce CFGs of every benchmark job and of the 12 synthetic
+/// archetypes (profile i of the corpus is archetype i % 12).
+std::vector<Cfg> RealCfgs() {
+  std::vector<Cfg> cfgs;
+  for (const jobs::BenchmarkJob& job : jobs::AllBenchmarkJobs()) {
+    const StaticFeatures f = ExtractStaticFeatures(job.program);
+    cfgs.push_back(f.map_cfg);
+    cfgs.push_back(f.reduce_cfg);
+  }
+  const tools::SyntheticCorpus corpus;
+  for (size_t i = 0; i < 12; ++i) {
+    const StaticFeatures f = corpus.Make(i).statics;
+    cfgs.push_back(f.map_cfg);
+    cfgs.push_back(f.reduce_cfg);
+  }
+  return cfgs;
+}
+
+/// A random graph of 1-8 nodes: any kind, statement count and entry, and
+/// 0-3 successors per node, a tenth of them missing (-1). Self-loops,
+/// repeated successors and unreachable nodes all occur.
+Cfg RandomCfg(Rng& rng) {
+  const int n = 1 + static_cast<int>(rng.NextUint64(8));
+  std::vector<CfgNode> nodes(n);
+  for (CfgNode& node : nodes) {
+    node.kind = static_cast<CfgNodeKind>(rng.NextUint64(4));
+    node.stmt_count = static_cast<int>(rng.NextUint64(3));
+    const int degree = static_cast<int>(rng.NextUint64(4));
+    for (int i = 0; i < degree; ++i) {
+      node.successors.push_back(
+          rng.Bernoulli(0.1) ? -1 : static_cast<int>(rng.NextUint64(n)));
+    }
+  }
+  const int entry = static_cast<int>(rng.NextUint64(n));
+  return Cfg(std::move(nodes), entry, static_cast<int>(rng.NextUint64(n)));
+}
+
+/// `cfg` with its node ids shuffled: isomorphic, so MatchCfgs holds.
+Cfg Relabeled(const Cfg& cfg, Rng& rng) {
+  const int n = static_cast<int>(cfg.nodes().size());
+  std::vector<int> to(n);
+  for (int i = 0; i < n; ++i) to[i] = i;
+  for (int i = n - 1; i > 0; --i) {
+    std::swap(to[i], to[rng.NextUint64(i + 1)]);
+  }
+  std::vector<CfgNode> nodes(n);
+  for (int i = 0; i < n; ++i) {
+    CfgNode node = cfg.nodes()[i];
+    for (int& succ : node.successors) {
+      if (succ >= 0) succ = to[succ];
+    }
+    nodes[to[i]] = std::move(node);
+  }
+  return Cfg(std::move(nodes), to[cfg.entry()], to[cfg.exit()]);
+}
+
+/// `cfg` with one node's kind, statement count or one successor changed.
+/// When that node is unreachable from the entry, the graphs still match.
+Cfg Mutated(const Cfg& cfg, Rng& rng) {
+  std::vector<CfgNode> nodes = cfg.nodes();
+  const int n = static_cast<int>(nodes.size());
+  CfgNode& node = nodes[rng.NextUint64(n)];
+  switch (rng.NextUint64(3)) {
+    case 0:
+      node.kind = static_cast<CfgNodeKind>(rng.NextUint64(4));
+      break;
+    case 1:
+      ++node.stmt_count;
+      break;
+    default:
+      if (node.successors.empty()) {
+        node.successors.push_back(0);
+      } else {
+        node.successors[rng.NextUint64(node.successors.size())] =
+            static_cast<int>(rng.NextUint64(n));
+      }
+  }
+  return Cfg(std::move(nodes), cfg.entry(), cfg.exit());
+}
+
+TEST(CfgMatchKeyTest, EqualKeysExactlyWhenMatchCfgsHolds) {
+  std::vector<Cfg> cfgs = RealCfgs();
+  cfgs.emplace_back();  // The empty CFG.
+  Rng rng(20141);
+  for (int i = 0; i < 200; ++i) {
+    const Cfg random = RandomCfg(rng);
+    const Cfg relabeled = Relabeled(random, rng);
+    cfgs.push_back(Mutated(relabeled, rng));
+    cfgs.push_back(random);
+    cfgs.push_back(relabeled);
+  }
+  for (bool compare_block_sizes : {false, true}) {
+    CfgMatchOptions options;
+    options.compare_block_sizes = compare_block_sizes;
+    std::vector<std::string> keys;
+    for (const Cfg& cfg : cfgs) keys.push_back(CfgMatchKey(cfg, options));
+    size_t matches = 0;
+    for (size_t a = 0; a < cfgs.size(); ++a) {
+      for (size_t b = 0; b < cfgs.size(); ++b) {
+        const bool match = MatchCfgs(cfgs[a], cfgs[b], options);
+        ASSERT_EQ(keys[a] == keys[b], match)
+            << "block sizes " << compare_block_sizes << ", pair " << a
+            << "," << b << "\n"
+            << cfgs[a].ToString() << "vs\n"
+            << cfgs[b].ToString();
+        matches += match && a != b;
+      }
+    }
+    // Not vacuous: every relabeled copy matches its original, so
+    // hundreds of distinct pairs match.
+    EXPECT_GE(matches, 400u) << "block sizes " << compare_block_sizes;
+  }
+}
+
+/// Graph `index` of an exhaustive space of small graphs: `n` nodes with
+/// entry 0, each of any kind (a block of 0 or 1 statements) and with 0-2
+/// successors, each missing or any node.
+Cfg SmallCfg(int n, uint64_t index) {
+  const uint64_t targets = n + 1;  // Missing, or node 0..n-1.
+  const uint64_t shapes = 1 + targets + targets * targets;
+  std::vector<CfgNode> nodes(n);
+  for (CfgNode& node : nodes) {
+    const uint64_t kind = index % 5;
+    index /= 5;
+    node.kind = static_cast<CfgNodeKind>(kind == 4 ? 1 : kind);
+    node.stmt_count = kind == 4 ? 1 : 0;
+    uint64_t shape = index % shapes;
+    index /= shapes;
+    const int degree = shape == 0 ? 0 : shape <= targets ? 1 : 2;
+    shape -= degree == 0 ? 0 : degree == 1 ? 1 : 1 + targets;
+    for (int i = 0; i < degree; ++i) {
+      node.successors.push_back(static_cast<int>(shape % targets) - 1);
+      shape /= targets;
+    }
+  }
+  return Cfg(std::move(nodes), 0, n - 1);
+}
+
+// The random pairs above rarely hit a key collision between graphs that do
+// not match; this sweep meets every one among graphs of up to 3 nodes.
+TEST(CfgMatchKeyTest, EqualKeysImplyMatchOnEverySmallGraph) {
+  for (bool compare_block_sizes : {false, true}) {
+    CfgMatchOptions options;
+    options.compare_block_sizes = compare_block_sizes;
+    // The first graph seen with each key, as (node count, index).
+    std::unordered_map<std::string, std::pair<int, uint64_t>> first;
+    for (int n = 1; n <= 3; ++n) {
+      const uint64_t targets = n + 1;
+      uint64_t count = 1;
+      for (int i = 0; i < n; ++i) {
+        count *= 5 * (1 + targets + targets * targets);
+      }
+      for (uint64_t index = 0; index < count; ++index) {
+        const Cfg cfg = SmallCfg(n, index);
+        const auto [it, fresh] =
+            first.emplace(CfgMatchKey(cfg, options), std::pair(n, index));
+        if (fresh) continue;
+        ASSERT_TRUE(MatchCfgs(SmallCfg(it->second.first, it->second.second),
+                              cfg, options))
+            << "block sizes " << compare_block_sizes << ": equal keys for\n"
+            << SmallCfg(it->second.first, it->second.second).ToString()
+            << "and\n"
+            << cfg.ToString();
+      }
+    }
+    EXPECT_GT(first.size(), 1000u);
+  }
+}
+
+TEST(CfgMatchKeyTest, BlockSizesEnterTheKeyOnlyWhenCompared) {
+  const Cfg two_ops = BuildCfg({"f", Seq({Op("a"), Op("b")})});
+  const Cfg three_ops = BuildCfg({"g", Seq({Op("a"), Op("b"), Op("c")})});
+  EXPECT_EQ(CfgMatchKey(two_ops), CfgMatchKey(three_ops));
+  CfgMatchOptions strict;
+  strict.compare_block_sizes = true;
+  EXPECT_NE(CfgMatchKey(two_ops, strict), CfgMatchKey(three_ops, strict));
+  EXPECT_EQ(CfgMatchKey(Cfg()), "");
+}
+
+// ---- ParseCfg: round trips, and damaged encodings fail cleanly ----
+
+TEST(ParseCfgTest, RoundTripsEveryBenchmarkCfgToAnEqualKey) {
+  CfgMatchOptions strict;
+  strict.compare_block_sizes = true;
+  for (const Cfg& cfg : RealCfgs()) {
+    const auto parsed = ParseCfg(SerializeCfg(cfg));
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << cfg.ToString();
+    EXPECT_EQ(CfgMatchKey(*parsed), CfgMatchKey(cfg));
+    EXPECT_EQ(CfgMatchKey(*parsed, strict), CfgMatchKey(cfg, strict));
+    EXPECT_EQ(parsed->entry(), cfg.entry());
+    EXPECT_EQ(parsed->exit(), cfg.exit());
+  }
+}
+
+/// A damaged encoding must be Corruption or parse to a CFG whose key can
+/// be computed and agrees with MatchCfgs against the original.
+void ExpectParsesCleanly(const std::string& text, const Cfg& original,
+                         const std::string& what) {
+  const auto parsed = ParseCfg(text);
+  if (!parsed.ok()) {
+    EXPECT_TRUE(parsed.status().IsCorruption()) << what << parsed.status();
+    return;
+  }
+  EXPECT_EQ(CfgMatchKey(*parsed) == CfgMatchKey(original),
+            MatchCfgs(*parsed, original))
+      << what;
+}
+
+TEST(ParseCfgTest, EveryTruncationFailsCleanly) {
+  for (const Cfg& cfg : RealCfgs()) {
+    const std::string text = SerializeCfg(cfg);
+    for (size_t n = 0; n < text.size(); ++n) {
+      ExpectParsesCleanly(text.substr(0, n), cfg,
+                          "prefix " + std::to_string(n) + " of " + text);
+    }
+  }
+}
+
+TEST(ParseCfgTest, EverySingleByteFlipFailsCleanly) {
+  for (const Cfg& cfg : RealCfgs()) {
+    const std::string text = SerializeCfg(cfg);
+    for (size_t i = 0; i < text.size(); ++i) {
+      // Every bit inverted, then the bytes the grammar gives meaning to.
+      std::string bytes = "0123456789-;, ";
+      bytes.push_back(static_cast<char>(text[i] ^ 0xff));
+      for (char c : bytes) {
+        std::string bent = text;
+        bent[i] = c;
+        ExpectParsesCleanly(bent, cfg,
+                            "byte " + std::to_string(i) + " of " + text +
+                                " set to " + std::string(1, c));
+      }
+    }
+  }
 }
 
 TEST(IrTest, CountStatements) {
