@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -727,36 +728,43 @@ BENCHMARK(BM_OpenAtScale)
 
 // Whole submissions through the reentrant PStorM::SubmitJob from N
 // threads at once against a pre-warmed store: sample run, matcher probe,
-// CBO, tuned run — the full serving path under contention. Matched
-// submissions leave the store untouched, so every thread exercises the
-// concurrent read path.
-void BM_ConcurrentSubmit(benchmark::State& state) {
-  static mrsim::Simulator* sim = nullptr;
-  static storage::InMemoryEnv* env = nullptr;
-  static core::PStorM* system = nullptr;
-  if (state.thread_index() == 0 && system == nullptr) {
-    sim = new mrsim::Simulator(mrsim::ThesisCluster());
-    env = new storage::InMemoryEnv();
+// recommendation, tuned run — the full serving path under contention.
+// Matched submissions leave the store untouched, so every thread
+// exercises the concurrent read path. Resubmitting one (job, data set)
+// reuses the memoized recommendation; BM_ConcurrentSubmitMiss below times
+// the path that searches.
+core::PStorM& SubmitBenchSystem() {
+  static core::PStorM* system = [] {
+    auto* sim = new mrsim::Simulator(mrsim::ThesisCluster());
+    auto* env = new storage::InMemoryEnv();
     // The default CBO budget, as RpcBenchServer serves with.
     core::PStormOptions options;
     // Serve like production: store maintenance on the shared pool, off
     // the submission path.
-    options.store.table.db_options.maintenance_pool = common::ThreadPool::Shared();
-    system = core::PStorM::Create(sim, env, "/bm-submit", options)
-                 .value()
-                 .release();
+    options.store.table.db_options.maintenance_pool =
+        common::ThreadPool::Shared();
+    core::PStorM* created =
+        core::PStorM::Create(sim, env, "/bm-submit", options)
+            .value()
+            .release();
     const auto data = jobs::FindDataSet(jobs::kRandomText1Gb).value();
-    auto cold = system->SubmitJob(jobs::WordCount(), data,
-                                  mrsim::Configuration{}, 1);
+    auto cold = created->SubmitJob(jobs::WordCount(), data,
+                                   mrsim::Configuration{}, 1);
     PSTORM_CHECK_OK(cold.status());
     PSTORM_CHECK(cold->stored_new_profile);
-  }
+    return created;
+  }();
+  return *system;
+}
+
+void BM_ConcurrentSubmit(benchmark::State& state) {
+  const core::PStorM& system = SubmitBenchSystem();
   const auto job = jobs::WordCount();
   const auto data = jobs::FindDataSet(jobs::kRandomText1Gb).value();
   uint64_t seed = 100 + state.thread_index() * 1000003;
   for (auto _ : state) {
-    auto outcome = system->SubmitJob(job, data, mrsim::Configuration{},
-                                     ++seed);
+    auto outcome = system.SubmitJob(job, data, mrsim::Configuration{},
+                                    ++seed);
     PSTORM_CHECK_OK(outcome.status());
     PSTORM_CHECK(outcome->matched);
     benchmark::DoNotOptimize(outcome);
@@ -764,6 +772,33 @@ void BM_ConcurrentSubmit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ConcurrentSubmit)
+    ->Threads(1)
+    ->Threads(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// BM_ConcurrentSubmit with a data set no earlier submission used, so every
+// submission misses the recommendation memo and runs the full CBO search:
+// split_bytes grows by one byte per submission (up to 1 MiB, which keeps
+// 16 splits and the match). Every 1,024th insert finds the memo full.
+void BM_ConcurrentSubmitMiss(benchmark::State& state) {
+  static std::atomic<uint64_t> next_key{0};
+  const core::PStorM& system = SubmitBenchSystem();
+  const auto job = jobs::WordCount();
+  const auto base = jobs::FindDataSet(jobs::kRandomText1Gb).value();
+  auto data = base;
+  uint64_t seed = 100 + state.thread_index() * 1000003;
+  for (auto _ : state) {
+    data.split_bytes = base.split_bytes + 1 + next_key++ % (1 << 20);
+    auto outcome = system.SubmitJob(job, data, mrsim::Configuration{},
+                                    ++seed);
+    PSTORM_CHECK_OK(outcome.status());
+    PSTORM_CHECK(outcome->matched);
+    benchmark::DoNotOptimize(outcome);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ConcurrentSubmitMiss)
     ->Threads(1)
     ->Threads(8)
     ->UseRealTime()

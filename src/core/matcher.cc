@@ -444,19 +444,21 @@ Result<MatchResult> MultiStageMatcher::Match(
   auto map_entry_or = get_entry_traced(result.map_source);
   if (map_entry_or.status().IsNotFound()) return result;  // deleted mid-match
   PSTORM_RETURN_IF_ERROR(map_entry_or.status());
-  const std::shared_ptr<const StoredEntry> map_entry =
+  std::shared_ptr<const StoredEntry> map_entry =
       std::move(map_entry_or).value();
+  std::shared_ptr<const StoredEntry> reduce_entry = map_entry;
   result.profile = map_entry->profile;
   if (result.composite) {
     auto reduce_entry_or = get_entry_traced(result.reduce_source);
     if (reduce_entry_or.status().IsNotFound()) return result;
     PSTORM_RETURN_IF_ERROR(reduce_entry_or.status());
-    const std::shared_ptr<const StoredEntry> reduce_entry =
-        std::move(reduce_entry_or).value();
+    reduce_entry = std::move(reduce_entry_or).value();
     result.profile.reduce_side = reduce_entry->profile.reduce_side;
     result.profile.job_name =
         map_entry->profile.job_name + "+" + reduce_entry->profile.job_name;
   }
+  result.map_entry = std::move(map_entry);
+  result.reduce_entry = std::move(reduce_entry);
   result.found = true;
   if (trace != nullptr) {
     trace->matched = true;

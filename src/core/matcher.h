@@ -1,6 +1,7 @@
 #ifndef PSTORM_CORE_MATCHER_H_
 #define PSTORM_CORE_MATCHER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,10 @@ struct MatchResult {
   std::string reduce_source;
   bool composite = false;  // True when the two sources differ.
   profiler::ExecutionProfile profile;
+  /// The decoded entries `profile` was stitched from (set when `found`);
+  /// the same pointer twice when the profile is not composite.
+  std::shared_ptr<const StoredEntry> map_entry;
+  std::shared_ptr<const StoredEntry> reduce_entry;
   SideMatch map_side;
   SideMatch reduce_side;
 };

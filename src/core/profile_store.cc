@@ -617,7 +617,12 @@ Result<std::shared_ptr<const StoredEntry>> ProfileStore::GetEntryRef(
   entry.has_map_calls = read_calls(kMapCallsColumn, &f.map_calls);
   entry.has_reduce_calls = read_calls(kRedCallsColumn, &f.reduce_calls);
 
-  auto shared = std::make_shared<const StoredEntry>(std::move(entry));
+  // Not make_shared: PStorM's recommendation memo keeps weak_ptrs to
+  // entries, and a weak_ptr to a make_shared object would keep the whole
+  // ~1 KB allocation alive after the entry dies, not just its control
+  // block.
+  std::shared_ptr<const StoredEntry> shared(
+      new StoredEntry(std::move(entry)));
   {
     std::unique_lock<std::shared_mutex> lock(shard.mu);
     // Only cache what no mutation invalidated while we were decoding; a

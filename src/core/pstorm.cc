@@ -1,5 +1,8 @@
 #include "core/pstorm.h"
 
+#include <bit>
+
+#include "common/hash.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 
@@ -31,7 +34,37 @@ obs::Counter& SubmissionsNoMatch() {
   return c;
 }
 
+obs::Counter& MemoHits() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::Global().GetCounter("pstorm_cbo_memo_hits_total");
+  return c;
+}
+
+obs::Counter& MemoMisses() {
+  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
+      "pstorm_cbo_memo_misses_total");
+  return c;
+}
+
+/// Whether `a` and `b` share an owner: the same control block, whatever
+/// the address each points at.
+bool SameOwner(const std::weak_ptr<const StoredEntry>& a,
+               const std::shared_ptr<const StoredEntry>& b) {
+  return !a.owner_before(b) && !b.owner_before(a);
+}
+
 }  // namespace
+
+size_t PStorM::MemoKeyHash::operator()(const MemoKey& key) const {
+  uint64_t h = HashCombine(reinterpret_cast<uintptr_t>(key.map_entry),
+                           reinterpret_cast<uintptr_t>(key.reduce_entry));
+  h = HashCombine(h, std::hash<std::string>{}(key.data_name));
+  for (uint64_t field : {key.size_bytes, key.avg_record_bits, key.split_bytes,
+                         key.compress_ratio_bits, key.vocabulary_mb_bits}) {
+    h = HashCombine(h, field);
+  }
+  return h;
+}
 
 PStorM::PStorM(const mrsim::Simulator* simulator,
                std::unique_ptr<ProfileStore> store, PStormOptions options)
@@ -99,14 +132,10 @@ Status PStorM::RunTuned(SubmissionContext& ctx) const {
   ctx.outcome.profile_source =
       ctx.match.composite ? ctx.match.map_source + "+" + ctx.match.reduce_source
                           : ctx.match.map_source;
-  optimizer::CostBasedOptimizer cbo(&engine_, options_.cbo);
   optimizer::CostBasedOptimizer::Recommendation recommendation;
   {
     obs::Span span(ctx.trace, "cbo_optimize");
-    PSTORM_ASSIGN_OR_RETURN(
-        recommendation,
-        cbo.Optimize(ctx.match.profile, ctx.data,
-                     ctx.trace != nullptr ? &ctx.trace->cbo : nullptr));
+    PSTORM_ASSIGN_OR_RETURN(recommendation, Recommend(ctx));
   }
   ctx.outcome.config_used = recommendation.config;
   ctx.outcome.predicted_runtime_s = recommendation.predicted_runtime_s;
@@ -119,6 +148,54 @@ Status PStorM::RunTuned(SubmissionContext& ctx) const {
                          run_options));
   ctx.outcome.runtime_s = run.runtime_s;
   return Status::OK();
+}
+
+Result<optimizer::CostBasedOptimizer::Recommendation> PStorM::Recommend(
+    const SubmissionContext& ctx) const {
+  const std::shared_ptr<const StoredEntry>& map_entry = ctx.match.map_entry;
+  const std::shared_ptr<const StoredEntry>& reduce_entry =
+      ctx.match.reduce_entry;
+  const mrsim::DataSetSpec& data = ctx.data;
+  MemoKey key{map_entry.get(),
+              reduce_entry.get(),
+              data.name,
+              data.size_bytes,
+              std::bit_cast<uint64_t>(data.avg_record_bytes),
+              data.split_bytes,
+              std::bit_cast<uint64_t>(data.compress_ratio),
+              std::bit_cast<uint64_t>(data.vocabulary_mb)};
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    auto it = memo_.find(key);
+    if (it != memo_.end() && SameOwner(it->second.map_entry, map_entry) &&
+        SameOwner(it->second.reduce_entry, reduce_entry)) {
+      MemoHits().Increment();
+      if (ctx.trace != nullptr) ctx.trace->cbo.memo_hit = true;
+      return it->second.recommendation;
+    }
+  }
+  MemoMisses().Increment();
+  const optimizer::CostBasedOptimizer cbo(&engine_, options_.cbo);
+  PSTORM_ASSIGN_OR_RETURN(
+      optimizer::CostBasedOptimizer::Recommendation recommendation,
+      cbo.Optimize(ctx.match.profile, data,
+                   ctx.trace != nullptr ? &ctx.trace->cbo : nullptr));
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (memo_.size() >= kRecommendationMemoCapacity && !memo_.contains(key)) {
+    std::erase_if(memo_, [](const auto& record) {
+      return record.second.map_entry.expired() ||
+             record.second.reduce_entry.expired();
+    });
+    if (memo_.size() >= kRecommendationMemoCapacity) memo_.clear();
+  }
+  memo_.insert_or_assign(
+      std::move(key), MemoRecord{map_entry, reduce_entry, recommendation});
+  return recommendation;
+}
+
+size_t PStorM::recommendation_memo_size() const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  return memo_.size();
 }
 
 Status PStorM::RunUntunedAndStore(SubmissionContext& ctx) const {

@@ -11,7 +11,8 @@ namespace pstorm::mrsim {
 /// Statistical description of an input data set: enough to derive split
 /// counts, record counts, and compressibility — the properties that drive
 /// MR dataflow. Content is never materialized; the simulator works on these
-/// aggregates.
+/// aggregates. PStorM's recommendation memo keys on every field
+/// (core/pstorm.cc), so a new field must join that key too.
 struct DataSetSpec {
   std::string name;
   uint64_t size_bytes = 0;

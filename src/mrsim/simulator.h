@@ -18,7 +18,7 @@ struct RunOptions {
   /// Run only these split indices (Starfish sampler semantics: unselected
   /// splits are eliminated, so only |split_subset| map tasks execute and
   /// the reducers process just their output). Empty means every split.
-  std::vector<uint64_t> split_subset;
+  std::vector<uint64_t> split_subset = {};
   /// Whether the dynamic-instrumentation profiler is attached; profiled
   /// tasks run slower by `profiling_slowdown`.
   bool profiling_enabled = false;

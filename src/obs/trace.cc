@@ -58,7 +58,9 @@ std::string SubmissionTrace::ToString() const {
       << store.entry_cache_misses;
   if (store.profiles_put > 0) out << " profiles_put=" << store.profiles_put;
   out << "\n";
-  if (!cbo.rounds.empty() || cbo.candidates_evaluated > 0) {
+  if (cbo.memo_hit) {
+    out << "  cbo: memo_hit\n";
+  } else if (!cbo.rounds.empty() || cbo.candidates_evaluated > 0) {
     out << "  cbo: evaluated=" << cbo.candidates_evaluated
         << " wall=" << Micros(cbo.seconds) << "\n";
     for (const CboRoundTrace& round : cbo.rounds) {

@@ -58,6 +58,9 @@ struct CboTrace {
   std::vector<CboRoundTrace> rounds;
   uint64_t candidates_evaluated = 0;
   double seconds = 0.0;
+  /// The recommendation came from PStorM's memo: no search ran, so the
+  /// fields above stay empty.
+  bool memo_hit = false;
 };
 
 /// A named wall-time interval inside the submission (see Span below).

@@ -1,5 +1,6 @@
 #include "profiler/profile.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -107,6 +108,10 @@ class FieldReader {
     return it->second;
   }
 
+  /// Every numeric field is a count, size, selectivity, ratio, cost or
+  /// time, so anything but a finite non-negative value is Corruption: a
+  /// remote profile must not carry inf, nan or a negative into the
+  /// store's normalization bounds.
   double GetDouble(const char* key) {
     const std::string raw = GetString(key);
     if (!status_.ok()) return 0;
@@ -116,15 +121,20 @@ class FieldReader {
       status_ = Status::Corruption(std::string("bad number for ") + key);
       return 0;
     }
+    if (!std::isfinite(value) || value < 0) {
+      status_ = Status::Corruption(std::string("value out of range for ") +
+                                   key);
+      return 0;
+    }
     return value;
   }
 
-  /// A count: a finite value in [0, INT_MAX], truncated to int. Anything
-  /// else is Corruption, never a cast whose result is undefined.
+  /// A count: a value in [0, INT_MAX], truncated to int. Anything else is
+  /// Corruption, never a cast whose result is undefined.
   int GetInt(const char* key) {
     const double value = GetDouble(key);
     if (!status_.ok()) return 0;
-    if (!(value >= 0 && value <= std::numeric_limits<int>::max())) {
+    if (value > std::numeric_limits<int>::max()) {
       status_ = Status::Corruption(std::string("count out of range for ") +
                                    key);
       return 0;

@@ -1,4 +1,6 @@
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
@@ -109,6 +111,140 @@ TEST_F(PStormConcurrencyTest, EightThreadsMatchSingleThreadedReplay) {
     EXPECT_EQ(p.stored_new_profile, s.stored_new_profile);
   }
   EXPECT_EQ(parallel_system->store().num_profiles(), 1u);
+}
+
+bool SameOutcome(const PStorM::SubmissionOutcome& a,
+                 const PStorM::SubmissionOutcome& b) {
+  return a.matched == b.matched && a.composite == b.composite &&
+         a.profile_source == b.profile_source &&
+         a.config_used == b.config_used && a.runtime_s == b.runtime_s &&
+         a.sample_runtime_s == b.sample_runtime_s &&
+         a.predicted_runtime_s == b.predicted_runtime_s &&
+         a.stored_new_profile == b.stored_new_profile;
+}
+
+TEST_F(PStormConcurrencyTest, MemoAnswersForTheOldOrTheNewEntryUnderChurn) {
+  // 8 threads submit word count while a writer cycles its matched key
+  // through a changed re-put, an identical re-put, and a delete followed
+  // by a re-put. The recommendation memo must never serve a record of a
+  // replaced entry: every outcome is the serial answer for one version
+  // of the key. A submission that finds the key deleted goes cold and
+  // stores the profile it collects, which is one more version.
+  const auto data = DataSet(jobs::kRandomText1Gb);
+  const std::string key = "word-count@random-text-1gb";
+  auto system_with = [&](storage::InMemoryEnv* env,
+                         const profiler::ExecutionProfile* profile,
+                         const staticanalysis::StaticFeatures& statics) {
+    auto system = NewSystem(env, "/pstorm");
+    if (profile != nullptr) {
+      PSTORM_CHECK_OK(system->AddProfile(key, *profile, statics));
+    }
+    return system;
+  };
+  storage::InMemoryEnv seed_env;
+  auto seeded = NewSystem(&seed_env, "/pstorm");
+  ASSERT_TRUE(seeded->SubmitJob(jobs::WordCount(), data,
+                                mrsim::Configuration{}, 7)
+                  .ok());
+  const StoredEntry original = seeded->store().GetEntry(key).value();
+  const staticanalysis::StaticFeatures& statics = original.statics;
+  profiler::ExecutionProfile changed = original.profile;
+  changed.map_side.map_cpu_cost *= 1.5;
+  changed.reduce_side.reduce_cpu_cost *= 1.5;
+
+  // The writer paces the race: the submitters keep going until it has
+  // run its cycles, within a per-thread cap that bounds the replay.
+  constexpr int kThreads = 8;
+  constexpr int kMinPerThread = 4;
+  constexpr int kMaxPerThread = 24;
+  constexpr int kCycles = 6;
+  storage::InMemoryEnv env;
+  auto system = system_with(&env, &original.profile, statics);
+  std::vector<Replay> raced(kThreads * kMaxPerThread);
+  // char, not bool: vector<bool> packs the flags into shared words, which
+  // the submitting threads would race on.
+  std::vector<char> ran(raced.size(), 0);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      ASSERT_TRUE(system->AddProfile(key, changed, statics).ok());
+      ASSERT_TRUE(system->AddProfile(key, changed, statics).ok());
+      ASSERT_TRUE(system->store().DeleteProfile(key).ok());
+      ASSERT_TRUE(system->AddProfile(key, original.profile, statics).ok());
+      ASSERT_TRUE(system->AddProfile(key, original.profile, statics).ok());
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int j = 0; j < kMaxPerThread; ++j) {
+        if (j >= kMinPerThread && done.load()) break;
+        const int i = t * kMaxPerThread + j;
+        auto outcome = system->SubmitJob(jobs::WordCount(), data,
+                                         mrsim::Configuration{}, 2000 + i);
+        raced[i].status = outcome.status();
+        if (outcome.ok()) raced[i].outcome = std::move(outcome).value();
+        ran[i] = 1;
+        // Eight readers back to back would starve the writer of the
+        // store's reader/writer locks; a pause lets its steps land
+        // between submissions.
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  writer.join();
+
+  // The serial answers: one system per version of the key. A cold
+  // submission's version is what an empty store collects at its seed.
+  storage::InMemoryEnv original_env, changed_env;
+  auto with_original = system_with(&original_env, &original.profile, statics);
+  auto with_changed = system_with(&changed_env, &changed, statics);
+  std::vector<std::unique_ptr<storage::InMemoryEnv>> cold_envs;
+  std::vector<std::unique_ptr<PStorM>> with_collected;
+  int cold = 0;
+  for (size_t i = 0; i < raced.size(); ++i) {
+    if (!ran[i]) continue;
+    ASSERT_TRUE(raced[i].status.ok()) << raced[i].status;
+    if (raced[i].outcome.matched) continue;
+    ++cold;
+    cold_envs.push_back(std::make_unique<storage::InMemoryEnv>());
+    with_collected.push_back(system_with(cold_envs.back().get(), nullptr,
+                                         statics));
+    auto serial = with_collected.back()->SubmitJob(
+        jobs::WordCount(), data, mrsim::Configuration{}, 2000 + i);
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    EXPECT_TRUE(SameOutcome(raced[i].outcome, *serial)) << "submission " << i;
+  }
+  int matched_original = 0, matched_changed = 0, matched_collected = 0;
+  for (size_t i = 0; i < raced.size(); ++i) {
+    const PStorM::SubmissionOutcome& got = raced[i].outcome;
+    if (!ran[i] || !got.matched) continue;
+    auto answer = [&](PStorM& serial) {
+      return serial
+          .SubmitJob(jobs::WordCount(), data, mrsim::Configuration{},
+                     2000 + i)
+          .value();
+    };
+    if (SameOutcome(got, answer(*with_original))) {
+      ++matched_original;
+    } else if (SameOutcome(got, answer(*with_changed))) {
+      ++matched_changed;
+    } else {
+      bool collected = false;
+      for (auto& serial : with_collected) {
+        collected = collected || SameOutcome(got, answer(*serial));
+      }
+      matched_collected += collected;
+      EXPECT_TRUE(collected) << "submission " << i
+                             << " matches no version of " << key;
+    }
+  }
+  EXPECT_GT(matched_original + matched_changed, 0);
+  std::printf("[ churn ] outcomes from the original profile %d, from the "
+              "changed one %d, from a collected one %d, cold %d\n",
+              matched_original, matched_changed, matched_collected, cold);
 }
 
 TEST_F(PStormConcurrencyTest, ConcurrentColdSubmissionsStoreOrMatch) {

@@ -229,5 +229,17 @@ TEST(SubmissionTraceTest, ToStringRendersAllSections) {
   EXPECT_NE(s.find("cbo=250us"), std::string::npos) << s;
 }
 
+TEST(SubmissionTraceTest, MemoHitRendersInPlaceOfTheSearch) {
+  SubmissionTrace trace;
+  trace.job_key = "word-count@random-text-1gb";
+  trace.matched = true;
+  trace.cbo.memo_hit = true;
+  trace.timeline.push_back(SpanRecord{"cbo_optimize", 3e-6});
+  const std::string s = trace.ToString();
+  EXPECT_NE(s.find("  cbo: memo_hit\n"), std::string::npos) << s;
+  EXPECT_EQ(s.find("evaluated="), std::string::npos) << s;
+  EXPECT_NE(s.find("cbo_optimize=3us"), std::string::npos) << s;
+}
+
 }  // namespace
 }  // namespace pstorm::obs

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "common/random.h"
 #include "jobs/benchmark_jobs.h"
 #include "jobs/datasets.h"
 
@@ -216,6 +218,142 @@ TEST_F(ProfilerTest, ParseRejectsTaskCountsOutsideIntRange) {
                               : parsed->reduce_side.num_tasks,
                 want);
     }
+  }
+}
+
+/// The numeric keys of a serialized profile, in serialization order.
+std::vector<std::string> NumericKeys(const std::string& text) {
+  std::vector<std::string> keys;
+  size_t line = 0;
+  while (line < text.size()) {
+    const size_t end = text.find('\n', line);
+    const std::string key = text.substr(line, text.find('=', line) - line);
+    if (key != "job_name" && key != "data_set") keys.push_back(key);
+    line = end + 1;
+  }
+  return keys;
+}
+
+TEST_F(ProfilerTest, ParseRejectsNonFiniteOrNegativeValues) {
+  const jobs::BenchmarkJob wc = jobs::WordCount();
+  const auto data = DataSet(jobs::kRandomText1Gb);
+  auto profiled = profiler_.ProfileFullRun(wc.spec, data, TunedConfig(), 8);
+  ASSERT_TRUE(profiled.ok());
+  const std::string text = profiled->profile.Serialize();
+  const std::vector<std::string> keys = NumericKeys(text);
+  ASSERT_EQ(keys.size(), 42u);
+  // Every numeric field is a count, size, selectivity, ratio, cost or
+  // time: one of these in any of them would poison the store's
+  // normalization bounds.
+  for (const std::string& key : keys) {
+    for (const char* bad : {"inf", "-inf", "nan", "-nan", "-1", "-1e-300"}) {
+      const auto parsed = ExecutionProfile::Parse(WithField(text, key, bad));
+      EXPECT_TRUE(parsed.status().IsCorruption())
+          << key << "=" << bad << ": " << parsed.status();
+    }
+    for (const char* good : {"0", "-0", "0.5"}) {
+      EXPECT_TRUE(ExecutionProfile::Parse(WithField(text, key, good)).ok())
+          << key << "=" << good;
+    }
+  }
+}
+
+TEST_F(ProfilerTest, EveryTable61RunAndSampleRoundTrips) {
+  // Parse also decodes every stored payload, so the profiles the Table
+  // 6.1 workload stores and probes with must all pass its checks.
+  size_t parsed_profiles = 0;
+  for (const jobs::WorkloadEntry& entry : jobs::Table61Workload()) {
+    const auto data = DataSet(entry.data_set.c_str());
+    auto full = profiler_.ProfileFullRun(entry.job.spec, data,
+                                         mrsim::Configuration{}, 11);
+    auto sample = profiler_.ProfileOneTask(entry.job.spec, data,
+                                           mrsim::Configuration{}, 12);
+    ASSERT_TRUE(full.ok()) << entry.job.spec.name << ": " << full.status();
+    ASSERT_TRUE(sample.ok()) << entry.job.spec.name << ": " << sample.status();
+    for (const ExecutionProfile* p : {&full->profile, &sample->profile}) {
+      const std::string text = p->Serialize();
+      const auto parsed = ExecutionProfile::Parse(text);
+      ASSERT_TRUE(parsed.ok())
+          << entry.job.spec.name << "@" << entry.data_set << ": "
+          << parsed.status();
+      EXPECT_EQ(parsed->Serialize(), text);
+      ++parsed_profiles;
+    }
+  }
+  EXPECT_EQ(parsed_profiles, 2 * 54u);
+}
+
+// ---- Hostile input: every prefix, flip and garbage string parses cleanly
+
+/// Parse's contract on hostile text: an error, or a profile that
+/// re-serializes to text Parse accepts again (so every value it holds is
+/// finite and non-negative).
+void ExpectCleanParse(const std::string& text, const std::string& what) {
+  const auto parsed = ExecutionProfile::Parse(text);
+  if (!parsed.ok()) return;
+  const auto again = ExecutionProfile::Parse(parsed->Serialize());
+  ASSERT_TRUE(again.ok()) << what << ": " << again.status();
+  EXPECT_EQ(again->Serialize(), parsed->Serialize()) << what;
+}
+
+TEST_F(ProfilerTest, ParseSurvivesEveryTruncation) {
+  const auto data = DataSet(jobs::kRandomText1Gb);
+  auto profiled = profiler_.ProfileFullRun(jobs::WordCount().spec, data,
+                                           mrsim::Configuration{}, 13);
+  ASSERT_TRUE(profiled.ok());
+  const std::string text = profiled->profile.Serialize();
+  for (size_t n = 0; n < text.size(); ++n) {
+    ExpectCleanParse(text.substr(0, n), "prefix " + std::to_string(n));
+  }
+}
+
+TEST_F(ProfilerTest, ParseSurvivesEverySingleByteFlip) {
+  const auto data = DataSet(jobs::kRandomText1Gb);
+  auto profiled = profiler_.ProfileFullRun(jobs::WordCount().spec, data,
+                                           mrsim::Configuration{}, 14);
+  ASSERT_TRUE(profiled.ok());
+  const std::string text = profiled->profile.Serialize();
+  for (size_t i = 0; i < text.size(); ++i) {
+    // A bit-inverted byte, a neighbouring digit or letter, and the bytes
+    // that change a number's sign, exponent or line structure.
+    for (const char flip : {static_cast<char>(text[i] ^ 0xff),
+                            static_cast<char>(text[i] ^ 0x01), '-', 'e', 'n',
+                            '\n', '=', '\0'}) {
+      std::string bent = text;
+      bent[i] = flip;
+      ExpectCleanParse(bent, "flip at " + std::to_string(i));
+    }
+  }
+}
+
+TEST_F(ProfilerTest, ParseSurvivesSeededGarbage) {
+  const auto data = DataSet(jobs::kRandomText1Gb);
+  auto profiled = profiler_.ProfileFullRun(jobs::WordCount().spec, data,
+                                           mrsim::Configuration{}, 15);
+  ASSERT_TRUE(profiled.ok());
+  const std::string text = profiled->profile.Serialize();
+  Rng rng(2024);
+  static constexpr char kAlphabet[] = "0123456789.-+eEinfa=\n_xm";
+  for (int round = 0; round < 2000; ++round) {
+    std::string garbage;
+    if (round % 2 == 0) {
+      // Free-form bytes biased towards the profile's own alphabet.
+      const size_t size = rng.NextUint64(256);
+      for (size_t i = 0; i < size; ++i) {
+        garbage += rng.Bernoulli(0.8)
+                       ? kAlphabet[rng.NextUint64(sizeof(kAlphabet) - 1)]
+                       : static_cast<char>(rng.NextUint64(256));
+      }
+    } else {
+      // A valid profile with a burst of overwritten bytes.
+      garbage = text;
+      const uint64_t edits = 1 + rng.NextUint64(8);
+      for (uint64_t e = 0; e < edits; ++e) {
+        garbage[rng.NextUint64(garbage.size())] =
+            kAlphabet[rng.NextUint64(sizeof(kAlphabet) - 1)];
+      }
+    }
+    ExpectCleanParse(garbage, "garbage round " + std::to_string(round));
   }
 }
 

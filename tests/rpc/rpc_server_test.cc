@@ -4,6 +4,7 @@
 
 #include <dirent.h>
 
+#include <bit>
 #include <limits>
 #include <memory>
 #include <string>
@@ -366,6 +367,64 @@ TEST_F(RpcServerTest, PutProfileWithOutOfRangeTaskCountIsRejected) {
   request.profile_text = text;
   ASSERT_TRUE(client->PutProfile(request).ok());
   EXPECT_EQ(profiles(), 1u);
+}
+
+TEST_F(RpcServerTest, PutProfileWithNonFiniteOrNegativeValueIsRejected) {
+  StartServer();
+  auto client = Connect();
+  const jobs::BenchmarkJob job = jobs::WordCount();
+  const profiler::Profiler profiler(&simulator_);
+  auto profiled = profiler.ProfileFullRun(
+      job.spec, jobs::FindDataSet(jobs::kRandomText1Gb).value(),
+      mrsim::Configuration{}, 1);
+  ASSERT_TRUE(profiled.ok()) << profiled.status();
+  PutProfileRequest request;
+  request.tenant = "t";
+  request.job_key = "word-count@valid";
+  request.statics = staticanalysis::ExtractStaticFeatures(job.program);
+  const std::string text = profiled->profile.Serialize();
+  request.profile_text = text;
+  ASSERT_TRUE(client->PutProfile(request).ok());
+
+  // Every shard's profile count and normalization bounds, as doubles'
+  // bit patterns so that a NaN compares unequal to the snapshot.
+  auto snapshot = [&] {
+    std::vector<uint64_t> state;
+    for (uint32_t i = 0; i < router_->num_shards(); ++i) {
+      const core::ProfileStore& store = router_->shard(i).store();
+      state.push_back(store.num_profiles());
+      for (core::Side side : {core::Side::kMap, core::Side::kReduce}) {
+        for (const core::FeatureBounds& bounds :
+             {store.DynamicBounds(side), store.CostBounds(side)}) {
+          for (const std::vector<double>* v : {&bounds.mins, &bounds.maxs}) {
+            for (double x : *v) state.push_back(std::bit_cast<uint64_t>(x));
+          }
+        }
+      }
+    }
+    return state;
+  };
+  const std::vector<uint64_t> before = snapshot();
+
+  // One dynamic feature (MAP_PAIRS_SEL) and one cost factor (MAP_CPU_COST):
+  // a first NaN minimum would never recover, and an infinite maximum
+  // would flatten the dimension for every tenant on the shard.
+  request.job_key = "word-count@hostile";
+  for (const char* key : {"m.pairs_sel", "m.map_cpu"}) {
+    const std::string field = std::string("\n") + key + "=";
+    const size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos) << key;
+    const size_t value_at = at + field.size();
+    for (const char* hostile : {"inf", "nan", "-1"}) {
+      request.profile_text = text;
+      request.profile_text.replace(
+          value_at, text.find('\n', value_at) - value_at, hostile);
+      const Status status = client->PutProfile(request);
+      EXPECT_EQ(status.code(), StatusCode::kCorruption)
+          << key << "=" << hostile << ": " << status;
+      EXPECT_EQ(snapshot(), before) << key << "=" << hostile;
+    }
+  }
 }
 
 TEST_F(RpcServerTest, UniqueTenantNamesDoNotAccumulateQuotaState) {

@@ -56,8 +56,8 @@ TEST(CodecTest, RegistryExposesBothCodecsAndRejectsUnknownTags) {
 
 TEST(CodecTest, NoneCodecIsIdentity) {
   const Codec* none = GetCodec(CodecType::kNone);
-  for (const std::string input : {std::string(), std::string("abc"),
-                                  std::string(10000, 'x')}) {
+  for (const std::string& input : {std::string(), std::string("abc"),
+                                   std::string(10000, 'x')}) {
     std::string compressed;
     none->Compress(input, &compressed);
     EXPECT_EQ(compressed, input);

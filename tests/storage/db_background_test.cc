@@ -89,7 +89,9 @@ TEST(DbBackgroundTest, BackgroundModeServesSameDataAsInline) {
     const auto a = inline_db->Get(key);
     const auto b = bg_db->Get(key);
     ASSERT_EQ(a.ok(), b.ok()) << key;
-    if (a.ok()) EXPECT_EQ(a.value(), b.value()) << key;
+    if (a.ok()) {
+      EXPECT_EQ(a.value(), b.value()) << key;
+    }
   }
 }
 

@@ -109,7 +109,9 @@ TEST(ReplicationCrashTest, FollowerCrashAtEveryMutationConverges) {
       EXPECT_TRUE(
           primary->Put("k" + std::to_string(rng.NextUint64(8)), "v" +
                        std::to_string(i)).ok());
-      if (i % 10 == 9) EXPECT_TRUE(primary->Flush().ok());
+      if (i % 10 == 9) {
+        EXPECT_TRUE(primary->Flush().ok());
+      }
     }
     return primary;
   };

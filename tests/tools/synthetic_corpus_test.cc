@@ -51,6 +51,21 @@ TEST(SyntheticCorpusTest, KeysAreUniqueAndValuesFinite) {
   }
 }
 
+TEST(SyntheticCorpusTest, EveryProfileAndProbeRoundTripsThroughParse) {
+  // The wide store the benchmarks serve holds the first 1,000 profiles,
+  // and its probe puts are MakeProbe outputs; Parse decodes both from the
+  // store, so both must pass its range checks.
+  const SyntheticCorpus corpus;
+  for (size_t i = 0; i < 1000; ++i) {
+    for (const SyntheticProfile& p : {corpus.Make(i), corpus.MakeProbe(i)}) {
+      const std::string text = p.profile.Serialize();
+      const auto parsed = profiler::ExecutionProfile::Parse(text);
+      ASSERT_TRUE(parsed.ok()) << p.job_key << ": " << parsed.status();
+      EXPECT_EQ(parsed->Serialize(), text) << p.job_key;
+    }
+  }
+}
+
 TEST(SyntheticCorpusTest, ProbeSharesArchetypeButNotValues) {
   const SyntheticCorpus corpus;
   const auto member = corpus.Make(17);
