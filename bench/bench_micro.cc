@@ -876,6 +876,29 @@ void BM_RpcSubmitJob(benchmark::State& state) {
 }
 BENCHMARK(BM_RpcSubmitJob)->Unit(benchmark::kMillisecond);
 
+// BM_RpcSubmitJob's request handed straight to the server's router on the
+// calling thread: the catalogue resolve, the quota check and the matched
+// submission, with no socket or worker handoff, so cpu_time is the work.
+// The spread between this and BM_ConcurrentSubmit/threads:1 is the
+// router's own cost.
+void BM_RouterSubmitJob(benchmark::State& state) {
+  rpc::ShardRouter& router = *RpcBenchServer::Get().router;
+  rpc::SubmitJobRequest request;
+  request.tenant = "bench";
+  request.job_name = "word-count";
+  request.data = jobs::FindDataSet(jobs::kRandomText1Gb).value();
+  uint64_t seed = 100;
+  for (auto _ : state) {
+    request.seed = ++seed;
+    auto outcome = router.SubmitJob(request);
+    PSTORM_CHECK_OK(outcome.status());
+    PSTORM_CHECK(outcome->matched);
+    benchmark::DoNotOptimize(outcome);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RouterSubmitJob)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 // Like BENCHMARK_MAIN(), plus: when $PSTORM_METRICS_DUMP names a file, the

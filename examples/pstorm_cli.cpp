@@ -25,8 +25,8 @@ using namespace pstorm;
 namespace {
 
 Result<jobs::BenchmarkJob> FindJob(const std::string& name) {
-  for (const jobs::BenchmarkJob& job : jobs::AllBenchmarkJobs()) {
-    if (job.spec.name == name) return job;
+  if (const jobs::CatalogueJob* found = jobs::FindCatalogueJob(name)) {
+    return found->job;
   }
   if (name == "grep") return jobs::Grep();
   return Status::NotFound("unknown job: " + name +

@@ -107,7 +107,6 @@ Status PStorM::SampleAndProbe(SubmissionContext& ctx) const {
   // one profiled run (thesis §3) — so corruption degrades to the untuned
   // fallback path instead of propagating.
   obs::Span span(ctx.trace, "match");
-  ctx.statics = staticanalysis::ExtractStaticFeatures(ctx.job.program);
   const JobFeatureVector probe =
       BuildFeatureVector(ctx.sample.profile, ctx.statics);
   MultiStageMatcher matcher(store_.get(), options_.match);
@@ -239,11 +238,20 @@ Result<PStorM::SubmissionOutcome> PStorM::SubmitJob(
     const jobs::BenchmarkJob& job, const mrsim::DataSetSpec& data,
     const mrsim::Configuration& submitted, uint64_t seed,
     obs::SubmissionTrace* trace) const {
+  return SubmitJob(job, staticanalysis::ExtractStaticFeatures(job.program),
+                   data, submitted, seed, trace);
+}
+
+Result<PStorM::SubmissionOutcome> PStorM::SubmitJob(
+    const jobs::BenchmarkJob& job,
+    const staticanalysis::StaticFeatures& statics,
+    const mrsim::DataSetSpec& data, const mrsim::Configuration& submitted,
+    uint64_t seed, obs::SubmissionTrace* trace) const {
   static obs::Histogram& submit_micros =
       obs::MetricsRegistry::Global().GetHistogram("pstorm_submit_micros");
   obs::ScopedTimer submit_timer(&submit_micros);
   Submissions().Increment();
-  SubmissionContext ctx{job, data, submitted, seed, {}, {}, {}, {}, trace};
+  SubmissionContext ctx{job, statics, data, submitted, seed, {}, {}, {}, trace};
   if (trace != nullptr) {
     trace->job_key = job.spec.name + "@" + data.name;
   }

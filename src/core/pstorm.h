@@ -91,6 +91,16 @@ class PStorM {
                                       obs::SubmissionTrace* trace = nullptr)
       const;
 
+  /// The same workflow for a caller that already holds the static
+  /// features of `job.program` (a catalogue job's, say), which it must
+  /// pass exactly as ExtractStaticFeatures returns them. The form above
+  /// extracts them and forwards here.
+  Result<SubmissionOutcome> SubmitJob(
+      const jobs::BenchmarkJob& job,
+      const staticanalysis::StaticFeatures& statics,
+      const mrsim::DataSetSpec& data, const mrsim::Configuration& submitted,
+      uint64_t seed, obs::SubmissionTrace* trace = nullptr) const;
+
   /// Adds an existing complete profile (e.g. collected elsewhere).
   Status AddProfile(const std::string& job_key,
                     const profiler::ExecutionProfile& profile,
@@ -117,10 +127,10 @@ class PStorM {
   /// call so concurrent submissions share nothing mutable.
   struct SubmissionContext {
     const jobs::BenchmarkJob& job;
+    const staticanalysis::StaticFeatures& statics;
     const mrsim::DataSetSpec& data;
     const mrsim::Configuration& submitted;
     const uint64_t seed;
-    staticanalysis::StaticFeatures statics;
     profiler::ProfiledRun sample;
     MatchResult match;
     SubmissionOutcome outcome;

@@ -1,6 +1,8 @@
 #include "jobs/benchmark_jobs.h"
 
 #include <cstdio>
+#include <functional>
+#include <map>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -592,6 +594,24 @@ std::vector<WorkloadEntry> Table61Workload() {
     }
   }
   return workload;
+}
+
+const CatalogueJob* FindCatalogueJob(std::string_view name) {
+  // Leaked on purpose: server workers may still resolve names while the
+  // process exits.
+  static const auto* const table = [] {
+    auto* jobs = new std::map<std::string, CatalogueJob, std::less<>>();
+    for (BenchmarkJob& job : AllBenchmarkJobs()) {
+      staticanalysis::StaticFeatures statics =
+          staticanalysis::ExtractStaticFeatures(job.program);
+      std::string key = job.spec.name;
+      jobs->try_emplace(std::move(key),
+                        CatalogueJob{std::move(job), std::move(statics)});
+    }
+    return jobs;
+  }();
+  const auto it = table->find(name);
+  return it == table->end() ? nullptr : &it->second;
 }
 
 }  // namespace pstorm::jobs

@@ -2,6 +2,7 @@
 #define PSTORM_JOBS_BENCHMARK_JOBS_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mrsim/jobspec.h"
@@ -80,6 +81,23 @@ std::vector<WorkloadEntry> Table61Workload();
 
 /// All distinct benchmark jobs (convenience for listings).
 std::vector<BenchmarkJob> AllBenchmarkJobs();
+
+// ---- The catalogue table --------------------------------------------------
+
+/// One fixed catalogue job with the static features of its program. The
+/// features depend on the program alone, so they are extracted once here
+/// instead of on every submission.
+struct CatalogueJob {
+  BenchmarkJob job;
+  staticanalysis::StaticFeatures statics;
+};
+
+/// The AllBenchmarkJobs() entry named `name`, or nullptr for any other
+/// name: Grep() and the other co-occurrence windows are not in the table.
+/// The table behind it is built on first use, once, by whichever thread
+/// gets there first, and is immutable afterwards: the returned reference
+/// is valid for the life of the process and safe to share across threads.
+const CatalogueJob* FindCatalogueJob(std::string_view name);
 
 }  // namespace pstorm::jobs
 

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -32,13 +33,15 @@ obs::Counter& SubmissionsRouted() {
 /// amount of simulated work; real co-occurrence windows are single digits.
 constexpr int kMaxCooccurrenceWindow = 1024;
 
-/// Resolves a catalogue job name to its BenchmarkJob. The parameterized
-/// jobs take their user parameter from `param` (0 = the job's default);
-/// everything else must match a Table 6.1 name exactly. `param` arrives
-/// off the wire, so every range precondition of the job constructors is
+/// Builds a parameterized job for one request: `grep` and
+/// `word-cooccurrence-pairs` take their user parameter from `param` (0 =
+/// the job's default), `word-cooccurrence-pairs-w<N>` its window from the
+/// name. Names in the catalogue table never get here. `param` arrives off
+/// the wire, so every range precondition of the job constructors is
 /// re-checked here and answered with InvalidArgument — a hostile frame
 /// must never reach a PSTORM_CHECK.
-Result<jobs::BenchmarkJob> ResolveJob(const std::string& name, double param) {
+Result<jobs::BenchmarkJob> BuildParameterizedJob(const std::string& name,
+                                                 double param) {
   if (name == "grep") {
     if (param == 0.0) return jobs::Grep();
     // NaN fails this comparison too and lands in the error branch.
@@ -70,9 +73,6 @@ Result<jobs::BenchmarkJob> ResolveJob(const std::string& name, double param) {
           std::to_string(param));
     }
     return jobs::WordCooccurrencePairs(static_cast<int>(param));
-  }
-  for (jobs::BenchmarkJob& job : jobs::AllBenchmarkJobs()) {
-    if (job.spec.name == name) return std::move(job);
   }
   return Status::NotFound("unknown benchmark job: " + name);
 }
@@ -146,8 +146,12 @@ uint32_t ShardRouter::ShardFor(const std::string& tenant) const {
 
 Result<SubmitJobResponse> ShardRouter::SubmitJob(
     const SubmitJobRequest& request) {
-  PSTORM_ASSIGN_OR_RETURN(const jobs::BenchmarkJob job,
-                          ResolveJob(request.job_name, request.job_param));
+  const jobs::CatalogueJob* fixed = jobs::FindCatalogueJob(request.job_name);
+  std::optional<jobs::BenchmarkJob> built;
+  if (fixed == nullptr) {
+    PSTORM_ASSIGN_OR_RETURN(
+        built, BuildParameterizedJob(request.job_name, request.job_param));
+  }
   // Tenant names are client-chosen, so the in-flight table must not grow
   // with distinct names seen: entries exist only while a tenant actually
   // has submissions in flight (and not at all when quotas are off).
@@ -168,9 +172,13 @@ Result<SubmitJobResponse> ShardRouter::SubmitJob(
   shard_submissions_[shard_idx]->fetch_add(1, std::memory_order_relaxed);
   SubmissionsRouted().Increment();
 
+  const core::PStorM& shard = *shards_[shard_idx];
   Result<core::PStorM::SubmissionOutcome> outcome =
-      shards_[shard_idx]->SubmitJob(job, request.data, request.submitted,
-                                    request.seed);
+      fixed != nullptr
+          ? shard.SubmitJob(fixed->job, fixed->statics, request.data,
+                            request.submitted, request.seed)
+          : shard.SubmitJob(*built, request.data, request.submitted,
+                            request.seed);
   if (tenant_inflight_limit_ != 0) {
     std::lock_guard<std::mutex> lock(tenants_mu_);
     const auto it = tenant_inflight_.find(request.tenant);

@@ -58,10 +58,13 @@ class ShardRouter {
   /// Shard owning `tenant` under the routing table.
   uint32_t ShardFor(const std::string& tenant) const;
 
-  /// The full submission workflow on the owning shard. Resolves the job by
-  /// catalogue name (`job_param` feeds the parameterized jobs: the
-  /// co-occurrence window, the grep selectivity). Over-quota tenants get
-  /// kResourceExhausted without touching the shard.
+  /// The full submission workflow on the owning shard. A name in
+  /// jobs::FindCatalogueJob's table is served from it, with its
+  /// precomputed static features, and ignores `job_param`. The other
+  /// names are built per request: `grep` and `word-cooccurrence-pairs`
+  /// take `job_param` (the grep selectivity, the co-occurrence window),
+  /// `word-cooccurrence-pairs-w<N>` its window from the name. Over-quota
+  /// tenants get kResourceExhausted without touching the shard.
   Result<SubmitJobResponse> SubmitJob(const SubmitJobRequest& request);
 
   /// Stores an externally collected profile on the owning shard.

@@ -181,11 +181,13 @@ std::string Cfg::ToString() const {
     out += " [";
     out += KindName(nodes_[i].kind);
     if (nodes_[i].kind == CfgNodeKind::kBlock) {
-      out += " x" + std::to_string(nodes_[i].stmt_count);
+      out += " x";
+      out += std::to_string(nodes_[i].stmt_count);
     }
     out += "] ->";
     for (int succ : nodes_[i].successors) {
-      out += " " + std::to_string(succ);
+      out += " ";
+      out += std::to_string(succ);
     }
     out += "\n";
   }
@@ -194,13 +196,18 @@ std::string Cfg::ToString() const {
 
 std::string SerializeCfg(const Cfg& cfg) {
   // "entry exit;kind,stmt_count,succ,succ;..." — kind as an integer.
-  std::string out = std::to_string(cfg.entry()) + " " +
-                    std::to_string(cfg.exit());
+  std::string out = std::to_string(cfg.entry());
+  out += " ";
+  out += std::to_string(cfg.exit());
   for (const CfgNode& node : cfg.nodes()) {
     out += ";";
     out += std::to_string(static_cast<int>(node.kind));
-    out += "," + std::to_string(node.stmt_count);
-    for (int succ : node.successors) out += "," + std::to_string(succ);
+    out += ",";
+    out += std::to_string(node.stmt_count);
+    for (int succ : node.successors) {
+      out += ",";
+      out += std::to_string(succ);
+    }
   }
   return out;
 }

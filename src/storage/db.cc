@@ -1219,7 +1219,11 @@ Status Db::InstallCheckpoint(Env* env, const std::string& path,
   // incarnation's files (swept as orphans at the next open) or with
   // NewFileName()-produced ones after the follower reopens.
   auto shipped_name = [&checkpoint](const std::string& name) {
-    return "r" + std::to_string(checkpoint.epoch) + "-" + name;
+    std::string shipped = "r";
+    shipped += std::to_string(checkpoint.epoch);
+    shipped += "-";
+    shipped += name;
+    return shipped;
   };
   std::string manifest(kManifestHeader);
   manifest += "\n";

@@ -13,6 +13,7 @@
 #include "core/profile_store.h"
 #include "storage/env.h"
 #include "tools/synthetic_corpus.h"
+#include "test_strings.h"
 
 namespace pstorm::core {
 namespace {
@@ -88,7 +89,7 @@ TEST(VectorSpaceIndexTest, LookupMatchesBruteForce) {
       x = (rng.Bernoulli(0.2) ? -1 : 1) * magnitude;
       if (rng.Bernoulli(0.05)) x = 0;
     }
-    const std::string key = "m" + std::to_string(i);
+    const std::string key = Numbered("m", i);
     index.Put(key, v);
     members.emplace_back(key, v);
   }
@@ -126,7 +127,7 @@ TEST(VectorSpaceIndexTest, ScanOnlySpaceMatchesBruteForce) {
       mins[d] = std::min(mins[d], v[d]);
       maxs[d] = std::max(maxs[d], v[d]);
     }
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = Numbered("k", i);
     index.Put(key, v);
     members.emplace_back(key, v);
   }

@@ -12,6 +12,7 @@
 #include "storage/db.h"
 #include "storage/env.h"
 #include "storage/replication.h"
+#include "test_strings.h"
 
 namespace pstorm::core {
 namespace {
@@ -37,9 +38,8 @@ TEST(ReplicationConcurrencyTest, AsyncTailThreadRacesConcurrentWriters) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
       for (int j = 0; j < kPerThread; ++j) {
-        const std::string key =
-            "t" + std::to_string(t) + "-" + std::to_string(j);
-        if (!primary->Put(key, "v" + std::to_string(j)).ok()) {
+        const std::string key = Numbered("t", t) + "-" + std::to_string(j);
+        if (!primary->Put(key, Numbered("v", j)).ok()) {
           errors.fetch_add(1, std::memory_order_relaxed);
         }
         // One thread forces rotations so the tail races flush/truncate
@@ -59,11 +59,10 @@ TEST(ReplicationConcurrencyTest, AsyncTailThreadRacesConcurrentWriters) {
   EXPECT_EQ((*session)->replica()->last_sequence(), primary->last_sequence());
   for (int t = 0; t < kThreads; ++t) {
     for (int j = 0; j < kPerThread; ++j) {
-      const std::string key =
-          "t" + std::to_string(t) + "-" + std::to_string(j);
+      const std::string key = Numbered("t", t) + "-" + std::to_string(j);
       auto got = (*session)->replica()->Get(key);
       ASSERT_TRUE(got.ok()) << key << ": " << got.status();
-      EXPECT_EQ(got.value(), "v" + std::to_string(j)) << key;
+      EXPECT_EQ(got.value(), Numbered("v", j)) << key;
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include "hstore/table.h"
 #include "storage/env.h"
+#include "test_strings.h"
 
 namespace pstorm::hstore {
 namespace {
@@ -36,7 +37,7 @@ TEST(HTableReplicaTest, SyncedFollowerOpensReadOnlyWithIdenticalRows) {
   storage::InMemoryEnv env;
   auto primary = HTable::Open(&env, "/primary", JobsSchema()).value();
   for (int i = 0; i < 30; ++i) {
-    PutRow(primary.get(), "row" + std::to_string(i), "v" + std::to_string(i));
+    PutRow(primary.get(), Numbered("row", i), Numbered("v", i));
   }
 
   auto replica = HTableReplica::Open(primary.get(), &env, "/follower");
@@ -48,8 +49,7 @@ TEST(HTableReplicaTest, SyncedFollowerOpensReadOnlyWithIdenticalRows) {
   auto standby =
       HTable::Open(&env, "/follower", JobsSchema(), read_only).value();
   for (int i = 0; i < 30; ++i) {
-    ExpectRow(*standby, "row" + std::to_string(i), "v" + std::to_string(i),
-              "standby");
+    ExpectRow(*standby, Numbered("row", i), Numbered("v", i), "standby");
   }
   // The standby serves reads but fences writes at both layers.
   PutOp put("rowX");

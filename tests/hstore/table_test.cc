@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "storage/db.h"
+#include "test_strings.h"
 
 namespace pstorm::hstore {
 namespace {
@@ -144,7 +145,7 @@ TEST_F(HTableTest, ScanWithPrefixFilterPushdown) {
   auto table = OpenTable();
   for (int i = 0; i < 10; ++i) {
     PutOp stat("Static/Job" + std::to_string(i));
-    stat.Add("Features", "MAPPER", "M" + std::to_string(i));
+    stat.Add("Features", "MAPPER", Numbered("M", i));
     ASSERT_TRUE(table->Put(stat).ok());
     PutOp dyn("Dynamic/Job" + std::to_string(i));
     dyn.Add("Features", "MAP_SIZE_SEL", std::to_string(i));

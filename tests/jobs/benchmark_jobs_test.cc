@@ -153,6 +153,146 @@ TEST(BenchmarkJobsTest, GrepSelectivityIsUserParameter) {
   EXPECT_EQ(fr.MapCategorical(), fc.MapCategorical()) << "same code";
 }
 
+// ---- The catalogue table -------------------------------------------------
+
+void ExpectSameStmt(const staticanalysis::StmtPtr& a,
+                    const staticanalysis::StmtPtr& b,
+                    const std::string& where) {
+  ASSERT_EQ(a == nullptr, b == nullptr) << where;
+  if (a == nullptr) return;
+  EXPECT_EQ(a->kind(), b->kind()) << where;
+  EXPECT_EQ(a->label(), b->label()) << where;
+  ASSERT_EQ(a->children().size(), b->children().size()) << where;
+  for (size_t i = 0; i < a->children().size(); ++i) {
+    ExpectSameStmt(a->children()[i], b->children()[i], where);
+  }
+}
+
+void ExpectSameFunction(const staticanalysis::FunctionIr& a,
+                        const staticanalysis::FunctionIr& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.name, b.name) << where;
+  ExpectSameStmt(a.body, b.body, where + " " + a.name);
+}
+
+void ExpectSameJob(const BenchmarkJob& a, const BenchmarkJob& b) {
+  const std::string& where = b.spec.name;
+  const mrsim::JobSpec& x = a.spec;
+  const mrsim::JobSpec& y = b.spec;
+  EXPECT_EQ(x.name, y.name);
+  EXPECT_EQ(x.map.pairs_selectivity, y.map.pairs_selectivity) << where;
+  EXPECT_EQ(x.map.size_selectivity, y.map.size_selectivity) << where;
+  EXPECT_EQ(x.map.cpu_ns_per_record, y.map.cpu_ns_per_record) << where;
+  EXPECT_EQ(x.combine.defined, y.combine.defined) << where;
+  EXPECT_EQ(x.combine.pairs_selectivity, y.combine.pairs_selectivity)
+      << where;
+  EXPECT_EQ(x.combine.size_selectivity, y.combine.size_selectivity) << where;
+  EXPECT_EQ(x.combine.merge_pairs_selectivity,
+            y.combine.merge_pairs_selectivity)
+      << where;
+  EXPECT_EQ(x.combine.merge_size_selectivity,
+            y.combine.merge_size_selectivity)
+      << where;
+  EXPECT_EQ(x.combine.cpu_ns_per_record, y.combine.cpu_ns_per_record)
+      << where;
+  EXPECT_EQ(x.reduce.pairs_selectivity, y.reduce.pairs_selectivity) << where;
+  EXPECT_EQ(x.reduce.size_selectivity, y.reduce.size_selectivity) << where;
+  EXPECT_EQ(x.reduce.cpu_ns_per_record, y.reduce.cpu_ns_per_record) << where;
+  EXPECT_EQ(x.input_format_cost_factor, y.input_format_cost_factor) << where;
+  EXPECT_EQ(x.input_record_granularity, y.input_record_granularity) << where;
+  EXPECT_EQ(x.output_format_cost_factor, y.output_format_cost_factor)
+      << where;
+  EXPECT_EQ(x.intermediate_compress_ratio, y.intermediate_compress_ratio)
+      << where;
+  EXPECT_EQ(x.output_compress_ratio, y.output_compress_ratio) << where;
+  EXPECT_EQ(x.map_heap_demand_base_mb, y.map_heap_demand_base_mb) << where;
+  EXPECT_EQ(x.map_heap_demand_mb_per_input_mb,
+            y.map_heap_demand_mb_per_input_mb)
+      << where;
+  EXPECT_EQ(x.map_heap_demand_mb_per_vocab_mb,
+            y.map_heap_demand_mb_per_vocab_mb)
+      << where;
+
+  const staticanalysis::MrProgram& p = a.program;
+  const staticanalysis::MrProgram& q = b.program;
+  EXPECT_EQ(p.job_class_name, q.job_class_name) << where;
+  EXPECT_EQ(p.input_formatter, q.input_formatter) << where;
+  EXPECT_EQ(p.mapper_class, q.mapper_class) << where;
+  EXPECT_EQ(p.map_in_key, q.map_in_key) << where;
+  EXPECT_EQ(p.map_in_value, q.map_in_value) << where;
+  EXPECT_EQ(p.map_out_key, q.map_out_key) << where;
+  EXPECT_EQ(p.map_out_value, q.map_out_value) << where;
+  EXPECT_EQ(p.combiner_class, q.combiner_class) << where;
+  EXPECT_EQ(p.reducer_class, q.reducer_class) << where;
+  EXPECT_EQ(p.reduce_out_key, q.reduce_out_key) << where;
+  EXPECT_EQ(p.reduce_out_value, q.reduce_out_value) << where;
+  EXPECT_EQ(p.output_formatter, q.output_formatter) << where;
+  ExpectSameFunction(p.map_function, q.map_function, where);
+  ExpectSameFunction(p.reduce_function, q.reduce_function, where);
+  EXPECT_EQ(p.user_parameters, q.user_parameters) << where;
+
+  EXPECT_EQ(a.application_domain, b.application_domain) << where;
+  EXPECT_EQ(a.data_sets, b.data_sets) << where;
+}
+
+void ExpectSameCfg(const staticanalysis::Cfg& a, const staticanalysis::Cfg& b,
+                   const std::string& where) {
+  EXPECT_EQ(a.entry(), b.entry()) << where;
+  EXPECT_EQ(a.exit(), b.exit()) << where;
+  ASSERT_EQ(a.nodes().size(), b.nodes().size()) << where;
+  for (size_t i = 0; i < a.nodes().size(); ++i) {
+    const staticanalysis::CfgNode& x = a.nodes()[i];
+    const staticanalysis::CfgNode& y = b.nodes()[i];
+    EXPECT_EQ(x.kind, y.kind) << where << " node " << i;
+    EXPECT_EQ(x.stmt_count, y.stmt_count) << where << " node " << i;
+    EXPECT_EQ(x.label, y.label) << where << " node " << i;
+    EXPECT_EQ(x.successors, y.successors) << where << " node " << i;
+  }
+}
+
+void ExpectSameStatics(const staticanalysis::StaticFeatures& a,
+                       const staticanalysis::StaticFeatures& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.in_formatter, b.in_formatter) << where;
+  EXPECT_EQ(a.mapper, b.mapper) << where;
+  EXPECT_EQ(a.map_in_key, b.map_in_key) << where;
+  EXPECT_EQ(a.map_in_val, b.map_in_val) << where;
+  EXPECT_EQ(a.map_out_key, b.map_out_key) << where;
+  EXPECT_EQ(a.map_out_val, b.map_out_val) << where;
+  EXPECT_EQ(a.combiner, b.combiner) << where;
+  ExpectSameCfg(a.map_cfg, b.map_cfg, where + " map_cfg");
+  EXPECT_EQ(a.reducer, b.reducer) << where;
+  EXPECT_EQ(a.red_out_key, b.red_out_key) << where;
+  EXPECT_EQ(a.red_out_val, b.red_out_val) << where;
+  EXPECT_EQ(a.out_formatter, b.out_formatter) << where;
+  ExpectSameCfg(a.reduce_cfg, b.reduce_cfg, where + " reduce_cfg");
+  EXPECT_EQ(a.user_params, b.user_params) << where;
+  EXPECT_EQ(a.map_calls, b.map_calls) << where;
+  EXPECT_EQ(a.reduce_calls, b.reduce_calls) << where;
+}
+
+TEST(CatalogueTableTest, EveryJobEqualsAFreshBuildWithItsStatics) {
+  for (const BenchmarkJob& fresh : AllBenchmarkJobs()) {
+    const CatalogueJob* entry = FindCatalogueJob(fresh.spec.name);
+    ASSERT_NE(entry, nullptr) << fresh.spec.name;
+    ExpectSameJob(entry->job, fresh);
+    ExpectSameStatics(entry->statics,
+                      staticanalysis::ExtractStaticFeatures(fresh.program),
+                      fresh.spec.name);
+    // Built once: every lookup of a name lands on the same entry.
+    EXPECT_EQ(FindCatalogueJob(fresh.spec.name), entry);
+  }
+}
+
+TEST(CatalogueTableTest, UnknownNamesAreNotFound) {
+  // Grep() and the other co-occurrence windows are built per call.
+  for (const char* name : {"", "no-such-job", "word-count ", "Word-Count",
+                           "grep", "word-cooccurrence-pairs",
+                           "word-cooccurrence-pairs-w3"}) {
+    EXPECT_EQ(FindCatalogueJob(name), nullptr) << '"' << name << '"';
+  }
+}
+
 TEST(BenchmarkJobsIntegrationTest, EveryWorkloadEntrySimulates) {
   const mrsim::Simulator sim(mrsim::ThesisCluster());
   mrsim::Configuration config;

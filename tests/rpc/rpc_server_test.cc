@@ -326,6 +326,23 @@ TEST_F(RpcServerTest, HostileJobParamsGetInvalidArgumentNotAbort) {
   valid.job_name = "word-cooccurrence-pairs-w4";
   valid.job_param = 0;
   EXPECT_TRUE(client->SubmitJob(valid).ok());
+  // A fixed catalogue name ignores job_param, whatever its value: served
+  // with a nonzero parameter, it gets exactly the outcome it gets with 0.
+  valid.job_name = "word-count";
+  valid.job_param = 0;
+  ASSERT_TRUE(client->SubmitJob(valid).ok());  // Settles the store.
+  const auto plain = client->SubmitJob(valid);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_TRUE(plain->matched);
+  for (const double ignored_param :
+       {7.0, -3.0, std::numeric_limits<double>::quiet_NaN()}) {
+    valid.job_param = ignored_param;
+    const auto ignored = client->SubmitJob(valid);
+    ASSERT_TRUE(ignored.ok()) << ignored_param << ": " << ignored.status();
+    EXPECT_EQ(EncodeSubmitJobResponse(*ignored),
+              EncodeSubmitJobResponse(*plain))
+        << ignored_param;
+  }
 }
 
 TEST_F(RpcServerTest, PutProfileWithOutOfRangeTaskCountIsRejected) {

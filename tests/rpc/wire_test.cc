@@ -11,6 +11,7 @@
 #include "jobs/benchmark_jobs.h"
 #include "jobs/datasets.h"
 #include "staticanalysis/features.h"
+#include "test_strings.h"
 
 namespace pstorm::rpc {
 namespace {
@@ -57,7 +58,7 @@ TEST(WireFrameTest, BackToBackFramesParseInOrder) {
   std::string stream;
   for (uint64_t id = 1; id <= 5; ++id) {
     stream += EncodeRequestFrame(
-        MakeRequest(id, Method::kEcho, "b" + std::to_string(id)));
+        MakeRequest(id, Method::kEcho, Numbered("b", id)));
   }
   for (uint64_t id = 1; id <= 5; ++id) {
     ParsedMessage msg;

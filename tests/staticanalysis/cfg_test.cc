@@ -12,6 +12,7 @@
 #include "staticanalysis/cfg_matcher.h"
 #include "staticanalysis/features.h"
 #include "tools/synthetic_corpus.h"
+#include "test_strings.h"
 
 namespace pstorm::staticanalysis {
 namespace {
@@ -91,7 +92,7 @@ TEST(CfgBuilderTest, DotRenderingMentionsAllNodes) {
   const std::string dot = cfg.ToDot("wordcount_map");
   EXPECT_NE(dot.find("digraph wordcount_map"), std::string::npos);
   for (size_t i = 0; i < cfg.nodes().size(); ++i) {
-    EXPECT_NE(dot.find("n" + std::to_string(i) + " ["), std::string::npos);
+    EXPECT_NE(dot.find(Numbered("n", i) + " ["), std::string::npos);
   }
 }
 

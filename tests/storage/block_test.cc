@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "storage/bloom.h"
+#include "test_strings.h"
 
 namespace pstorm::storage {
 namespace {
@@ -127,13 +128,13 @@ TEST(BlockTest, RandomizedSeekMatchesMap) {
   Rng rng(99);
   std::map<std::string, std::string> entries;
   for (int i = 0; i < 500; ++i) {
-    std::string key = "k" + std::to_string(rng.NextUint64(100000));
-    entries[key] = "v" + std::to_string(i);
+    std::string key = Numbered("k", rng.NextUint64(100000));
+    entries[key] = Numbered("v", i);
   }
   auto block = BuildBlock(entries, /*restart_interval=*/7);
   auto it = block->NewIterator();
   for (int trial = 0; trial < 200; ++trial) {
-    std::string probe = "k" + std::to_string(rng.NextUint64(100000));
+    std::string probe = Numbered("k", rng.NextUint64(100000));
     it->Seek(probe);
     auto expected = entries.lower_bound(probe);
     if (expected == entries.end()) {

@@ -9,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "storage/db.h"
 #include "storage/env.h"
+#include "test_strings.h"
 
 namespace pstorm::storage {
 namespace {
@@ -66,13 +67,12 @@ TEST(DbBackgroundTest, BackgroundModeServesSameDataAsInline) {
   auto bg_db = Db::Open(&bg_env, "/db", BackgroundOptions(&pool)).value();
 
   for (int i = 0; i < 300; ++i) {
-    const std::string key = "k" + std::to_string(i % 60);
-    const std::string value =
-        "v" + std::to_string(i) + std::string(24, 'x');
+    const std::string key = Numbered("k", i % 60);
+    const std::string value = Numbered("v", i) + std::string(24, 'x');
     ASSERT_TRUE(inline_db->Put(key, value).ok());
     ASSERT_TRUE(bg_db->Put(key, value).ok());
     if (i % 17 == 16) {
-      const std::string victim = "k" + std::to_string(i % 60);
+      const std::string victim = Numbered("k", i % 60);
       ASSERT_TRUE(inline_db->Delete(victim).ok());
       ASSERT_TRUE(bg_db->Delete(victim).ok());
     }
@@ -85,7 +85,7 @@ TEST(DbBackgroundTest, BackgroundModeServesSameDataAsInline) {
 
   // Point lookups agree too.
   for (int i = 0; i < 60; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = Numbered("k", i);
     const auto a = inline_db->Get(key);
     const auto b = bg_db->Get(key);
     ASSERT_EQ(a.ok(), b.ok()) << key;
@@ -109,7 +109,7 @@ TEST(DbBackgroundTest, PutNeverRunsMaintenanceInline) {
   const std::string value(100, 'x');
   int puts = 0;
   for (; puts < 6; ++puts) {
-    ASSERT_TRUE(db->Put("k" + std::to_string(puts), value).ok());
+    ASSERT_TRUE(db->Put(Numbered("k", puts), value).ok());
   }
   EXPECT_EQ(db->num_level0_tables(), 0u);
   EXPECT_EQ(db->stats().flushes, 0u);
@@ -151,8 +151,8 @@ TEST(DbBackgroundTest, ReopenAfterBackgroundWorkRecoversEverything) {
     common::ThreadPool pool(2);
     auto db = Db::Open(&env, "/db", BackgroundOptions(&pool)).value();
     for (int i = 0; i < 200; ++i) {
-      const std::string key = "k" + std::to_string(i % 40);
-      const std::string value = "v" + std::to_string(i);
+      const std::string key = Numbered("k", i % 40);
+      const std::string value = Numbered("v", i);
       ASSERT_TRUE(db->Put(key, value).ok());
       model[key] = value;
     }
@@ -177,7 +177,7 @@ TEST(DbBackgroundTest, WriterStallEngagesAndReleasesAtThresholds) {
 
   // Flush() is synchronous, so each pass parks exactly one more L0 table.
   auto add_l0 = [&](int i) {
-    ASSERT_TRUE(db->Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(db->Put(Numbered("k", i), "v").ok());
     ASSERT_TRUE(db->Flush().ok());
   };
 

@@ -12,6 +12,7 @@
 #include "storage/block_cache.h"
 #include "storage/db.h"
 #include "storage/env.h"
+#include "test_strings.h"
 
 namespace pstorm::storage {
 namespace {
@@ -191,7 +192,7 @@ TEST_F(DbConcurrencyTest, ConcurrentGetsMatchSerialGets) {
     threads.emplace_back([&, t] {
       parallel[t].resize(kKeys);
       for (int i = 0; i < kKeys; ++i) {
-        auto got = db->Get("k" + std::to_string(i));
+        auto got = db->Get(Numbered("k", i));
         parallel[t][i] = got.ok() ? got.value() : "<error>";
       }
     });
@@ -210,8 +211,7 @@ TEST_F(DbConcurrencyTest, ConcurrentWritersSettleToLastValuePerKey) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        const std::string key =
-            "t" + std::to_string(t) + "-" + std::to_string(i);
+        const std::string key = Numbered("t", t) + "-" + std::to_string(i);
         if (!db->Put(key, std::string(30, 'p')).ok() ||
             !db->Put(key, "final" + std::to_string(i)).ok()) {
           write_errors.fetch_add(1, std::memory_order_relaxed);
@@ -223,8 +223,7 @@ TEST_F(DbConcurrencyTest, ConcurrentWritersSettleToLastValuePerKey) {
   ASSERT_EQ(write_errors.load(), 0);
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      const std::string key =
-          "t" + std::to_string(t) + "-" + std::to_string(i);
+      const std::string key = Numbered("t", t) + "-" + std::to_string(i);
       EXPECT_EQ(db->Get(key).value(), "final" + std::to_string(i));
     }
   }
@@ -273,8 +272,7 @@ TEST_F(DbConcurrencyTest, BackgroundMaintenanceRacesReadersAndWriters) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        const std::string key =
-            "t" + std::to_string(t) + "-" + std::to_string(i);
+        const std::string key = Numbered("t", t) + "-" + std::to_string(i);
         if (!db->Put(key, std::string(30, 'p')).ok() ||
             !db->Put(key, "final" + std::to_string(i)).ok()) {
           errors.fetch_add(1, std::memory_order_relaxed);
@@ -290,8 +288,7 @@ TEST_F(DbConcurrencyTest, BackgroundMaintenanceRacesReadersAndWriters) {
   ASSERT_TRUE(db->WaitForIdle().ok());
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      const std::string key =
-          "t" + std::to_string(t) + "-" + std::to_string(i);
+      const std::string key = Numbered("t", t) + "-" + std::to_string(i);
       EXPECT_EQ(db->Get(key).value(), "final" + std::to_string(i));
     }
   }
@@ -354,9 +351,8 @@ TEST_F(DbConcurrencyTest, GroupCommitCoalescesConcurrentAppendsIntoFewerSyncs) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        const std::string key =
-            "w" + std::to_string(t) + "-" + std::to_string(i);
-        if (!db->Put(key, "v" + std::to_string(i)).ok()) {
+        const std::string key = Numbered("w", t) + "-" + std::to_string(i);
+        if (!db->Put(key, Numbered("v", i)).ok()) {
           write_errors.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -374,9 +370,8 @@ TEST_F(DbConcurrencyTest, GroupCommitCoalescesConcurrentAppendsIntoFewerSyncs) {
   // Every acked write is readable, and order within a key is the last one.
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      const std::string key =
-          "w" + std::to_string(t) + "-" + std::to_string(i);
-      EXPECT_EQ(db->Get(key).value(), "v" + std::to_string(i));
+      const std::string key = Numbered("w", t) + "-" + std::to_string(i);
+      EXPECT_EQ(db->Get(key).value(), Numbered("v", i));
     }
   }
 }
@@ -389,9 +384,9 @@ TEST_F(DbConcurrencyTest, GroupCommitSurvivesReopen) {
     for (int t = 0; t < 4; ++t) {
       writers.emplace_back([&, t] {
         for (int i = 0; i < 100; ++i) {
-          ASSERT_TRUE(db->Put("r" + std::to_string(t) + "-" +
-                                  std::to_string(i),
-                              "v" + std::to_string(i)).ok());
+          ASSERT_TRUE(db->Put(Numbered("r", t) + "-" + std::to_string(i),
+                              Numbered("v", i))
+                          .ok());
         }
       });
     }
@@ -400,9 +395,9 @@ TEST_F(DbConcurrencyTest, GroupCommitSurvivesReopen) {
   auto reopened = OpenDb();
   for (int t = 0; t < 4; ++t) {
     for (int i = 0; i < 100; ++i) {
-      EXPECT_EQ(reopened->Get("r" + std::to_string(t) + "-" +
-                              std::to_string(i)).value(),
-                "v" + std::to_string(i));
+      EXPECT_EQ(
+          reopened->Get(Numbered("r", t) + "-" + std::to_string(i)).value(),
+          Numbered("v", i));
     }
   }
 }

@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "storage/db.h"
+#include "test_strings.h"
 
 namespace pstorm::storage {
 namespace {
@@ -48,10 +49,10 @@ TEST_P(DbModelTest, RandomOpsMatchModel) {
   std::map<std::string, std::string> model;
   Rng rng(p.seed);
   for (int op = 0; op < 3000; ++op) {
-    const std::string key = "k" + std::to_string(rng.NextUint64(400));
+    const std::string key = Numbered("k", rng.NextUint64(400));
     const double dice = rng.NextDouble();
     if (dice < 0.55) {
-      const std::string value = "v" + std::to_string(op);
+      const std::string value = Numbered("v", op);
       model[key] = value;
       ASSERT_TRUE((*db)->Put(key, value).ok());
     } else if (dice < 0.80) {

@@ -10,6 +10,7 @@
 #include "storage/db.h"
 #include "storage/env.h"
 #include "storage/wal.h"
+#include "test_strings.h"
 
 namespace pstorm::storage {
 namespace {
@@ -131,9 +132,9 @@ bool RunWorkload(Db* db, uint64_t seed,
                  std::map<std::string, std::string>* model) {
   Rng rng(seed);
   for (int i = 0; i < 40; ++i) {
-    const std::string key = "k" + std::to_string(rng.NextUint64(12));
+    const std::string key = Numbered("k", rng.NextUint64(12));
     const bool is_delete = rng.Bernoulli(0.15);
-    const std::string value = "v" + std::to_string(i);
+    const std::string value = Numbered("v", i);
     const Status s = is_delete ? db->Delete(key) : db->Put(key, value);
     if (!s.ok()) {
       model->erase(key);
@@ -319,9 +320,9 @@ TEST(CrashRecoveryTest, AckedKeysSurviveIntermittentIoErrors) {
       fault.SetErrorProbability(0.08, seed * 1000 + 7);
       Rng rng(seed);
       for (int i = 0; i < 200; ++i) {
-        const std::string key = "k" + std::to_string(rng.NextUint64(25));
+        const std::string key = Numbered("k", rng.NextUint64(25));
         const bool is_delete = rng.Bernoulli(0.15);
-        const std::string value = "v" + std::to_string(i);
+        const std::string value = Numbered("v", i);
         const Status s = is_delete ? db->Delete(key) : db->Put(key, value);
         if (!s.ok()) {
           // Ambiguous: the flush inside the call may have failed after the
@@ -441,8 +442,7 @@ TEST(CrashRecoveryTest, GroupCommitCrashLeavesContiguousOrderedLogPrefix) {
   // the ambiguous key, like a client whose call never returned.
   auto worker = [&](Db* db, int id, std::map<std::string, std::string>* model) {
     for (int j = 0; j < kPutsPerThread; ++j) {
-      const std::string key =
-          "t" + std::to_string(id) + "-k" + std::to_string(j % 6);
+      const std::string key = Numbered("t", id) + "-k" + std::to_string(j % 6);
       const std::string value =
           std::string(80, 'x') + std::to_string(id * 100 + j);
       if (!db->Put(key, value).ok()) {

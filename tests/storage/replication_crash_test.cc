@@ -9,6 +9,7 @@
 #include "storage/db.h"
 #include "storage/env.h"
 #include "storage/replication.h"
+#include "test_strings.h"
 
 namespace pstorm::storage {
 namespace {
@@ -39,8 +40,8 @@ DbOptions SmallMemtableOptions() {
 void RunPrimaryWorkload(Db* primary, ReplicaSession* session) {
   Rng rng(77);
   for (int i = 0; i < 30; ++i) {
-    const std::string key = "k" + std::to_string(rng.NextUint64(10));
-    if (!primary->Put(key, "v" + std::to_string(i)).ok()) return;
+    const std::string key = Numbered("k", rng.NextUint64(10));
+    if (!primary->Put(key, Numbered("v", i)).ok()) return;
     if (i % 4 == 3) (void)session->TickOnce();
     if (i % 9 == 8 && !primary->Flush().ok()) return;
   }
@@ -107,8 +108,8 @@ TEST(ReplicationCrashTest, FollowerCrashAtEveryMutationConverges) {
     Rng rng(99);
     for (int i = 0; i < 25; ++i) {
       EXPECT_TRUE(
-          primary->Put("k" + std::to_string(rng.NextUint64(8)), "v" +
-                       std::to_string(i)).ok());
+          primary->Put(Numbered("k", rng.NextUint64(8)), Numbered("v", i))
+              .ok());
       if (i % 10 == 9) {
         EXPECT_TRUE(primary->Flush().ok());
       }
@@ -162,8 +163,8 @@ TEST(ReplicationCrashTest, SyncFailoverKeepsEveryAckedWriteAtEveryCrashPoint) {
                          std::map<std::string, std::string>* acked) {
     Rng rng(123);
     for (int i = 0; i < 25; ++i) {
-      const std::string key = "k" + std::to_string(rng.NextUint64(8));
-      const std::string value = "v" + std::to_string(i);
+      const std::string key = Numbered("k", rng.NextUint64(8));
+      const std::string value = Numbered("v", i);
       if (!primary->Put(key, value).ok()) {
         // Ambiguous outcome; the key was never acked.
         acked->erase(key);
@@ -239,7 +240,7 @@ TEST(ReplicationCrashTest, PromoteCrashAtEveryMutationIsRetryable) {
     FaultInjectionEnv fault(&follower_base);
     auto primary = Db::Open(&primary_disk, "/p").value();
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(primary->Put("k" + std::to_string(i), "v").ok());
+      ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
     }
     {
       auto session = ReplicaSession::Open(primary.get(), &fault, "/f");

@@ -15,6 +15,7 @@
 #include "storage/db.h"
 #include "storage/env.h"
 #include "storage/wal.h"
+#include "test_strings.h"
 
 namespace pstorm::storage {
 namespace {
@@ -79,7 +80,7 @@ TEST(ReplicationTest, FollowerLogMatchesPrimaryLogByteForByte) {
   replica.read_only_replica = true;
   auto follower = Db::Open(&env, "/follower", replica).value();
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(primary->Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
   }
   WalApplier applier(follower.get());
   WalShipper shipper(primary.get(), &applier, ReplicationOptions{});
@@ -98,7 +99,7 @@ TEST(ReplicationTest, MaxBatchRecordsBoundsEachRound) {
   replica.read_only_replica = true;
   auto follower = Db::Open(&env, "/follower", replica).value();
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(primary->Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
   }
   ReplicationOptions options;
   options.max_batch_records = 3;
@@ -187,7 +188,7 @@ TEST(ReplicationTest, SequenceGapIsRejectedNotApplied) {
   replica.read_only_replica = true;
   auto follower = Db::Open(&env, "/follower", replica).value();
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(primary->Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
   }
   WalApplier applier(follower.get());
   auto batch = primary->FetchWalSince(3);  // Skips sequences 1 and 2.
@@ -445,7 +446,7 @@ TEST(ReplicationTest, SessionBootstrapsWhenJoiningAfterFlush) {
   InMemoryEnv env;
   auto primary = Db::Open(&env, "/primary").value();
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(primary->Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
   }
   ASSERT_TRUE(primary->Flush().ok());
   ASSERT_TRUE(primary->Put("after-flush", "v").ok());
@@ -461,7 +462,7 @@ TEST(ReplicationTest, SessionResumesFromRecoveredFollowerState) {
   InMemoryEnv env;
   auto primary = Db::Open(&env, "/primary").value();
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(primary->Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
   }
   {
     auto session = ReplicaSession::Open(primary.get(), &env, "/follower");
@@ -470,7 +471,7 @@ TEST(ReplicationTest, SessionResumesFromRecoveredFollowerState) {
   }
   // More primary writes while the session is down.
   for (int i = 10; i < 15; ++i) {
-    ASSERT_TRUE(primary->Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
   }
   // A new session over the same follower directory resumes incrementally —
   // the records are still in the primary's WAL, so no checkpoint needed.
@@ -490,7 +491,7 @@ TEST(ReplicationTest, AsyncTailingFollowsOngoingWrites) {
   ASSERT_TRUE(session.ok());
   (*session)->StartTailing(100);
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(primary->Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
   }
   (*session)->StopTailing();
   ASSERT_TRUE((*session)->CatchUp().ok());
@@ -509,12 +510,10 @@ TEST(ReplicationTest, SyncCommitShipsBeforeAck) {
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE((*session)->EnableSyncCommit().ok());
   for (int i = 0; i < 25; ++i) {
-    ASSERT_TRUE(primary->Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
     // Ack-before-commit: the moment the writer is acked, the follower
     // already holds the record.
-    EXPECT_EQ((*session)->replica()->Get("k" + std::to_string(i)).value(),
-              "v")
-        << i;
+    EXPECT_EQ((*session)->replica()->Get(Numbered("k", i)).value(), "v") << i;
   }
   ExpectConverged(primary.get(), (*session)->replica(), "sync mode");
   ASSERT_TRUE((*session)->DisableSyncCommit().ok());
@@ -559,7 +558,7 @@ TEST(ReplicationTest, CheckpointReinstallNeverAliasesCachedBlocks) {
   primary_options.block_cache = cache;
   auto primary = Db::Open(&env, "/primary", primary_options).value();
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(primary->Put("k" + std::to_string(i), "gen1").ok());
+    ASSERT_TRUE(primary->Put(Numbered("k", i), "gen1").ok());
   }
   ASSERT_TRUE(primary->Flush().ok());
 
@@ -575,14 +574,14 @@ TEST(ReplicationTest, CheckpointReinstallNeverAliasesCachedBlocks) {
     auto follower = Db::Open(&env, "/follower", replica).value();
     // Warm the cache with gen1 blocks.
     for (int i = 0; i < 40; ++i) {
-      ASSERT_EQ(follower->Get("k" + std::to_string(i)).value(), "gen1");
+      ASSERT_EQ(follower->Get(Numbered("k", i)).value(), "gen1");
     }
   }
 
   // New generation on the primary, then a fresh install over the same
   // follower directory (same file names, same offsets, new bytes).
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(primary->Put("k" + std::to_string(i), "gen2").ok());
+    ASSERT_TRUE(primary->Put(Numbered("k", i), "gen2").ok());
   }
   ASSERT_TRUE(primary->Flush().ok());
   ASSERT_TRUE(primary->CompactAll().ok());
@@ -592,7 +591,7 @@ TEST(ReplicationTest, CheckpointReinstallNeverAliasesCachedBlocks) {
       Db::InstallCheckpoint(&env, "/follower", checkpoint.value()).ok());
   auto follower = Db::Open(&env, "/follower", replica).value();
   for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(follower->Get("k" + std::to_string(i)).value(), "gen2") << i;
+    EXPECT_EQ(follower->Get(Numbered("k", i)).value(), "gen2") << i;
   }
 }
 

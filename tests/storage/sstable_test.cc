@@ -263,7 +263,7 @@ TEST(SSTableTest, PrefixBloomAnswersExactPrefixProbes) {
       std::string key = "job-" + std::to_string(1000 + row);
       key.push_back('\0');
       key += col;
-      entries[key] = "v";
+      entries.emplace(key, "v");
     }
   }
   auto table = BuildTable(entries);  // Default prefix_delimiter '\0'.

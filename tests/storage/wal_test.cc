@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "storage/db.h"
+#include "test_strings.h"
 
 namespace pstorm::storage {
 namespace {
@@ -158,7 +159,7 @@ TEST(DbWalTest, ReplayIsIdempotentAcrossRepeatedReopens) {
   {
     auto db = Db::Open(&env, "/db").value();
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(db->Put("k" + std::to_string(i), std::to_string(i)).ok());
+      ASSERT_TRUE(db->Put(Numbered("k", i), std::to_string(i)).ok());
     }
   }
   // Reopening without writing must not change the recovered state, no
@@ -167,7 +168,7 @@ TEST(DbWalTest, ReplayIsIdempotentAcrossRepeatedReopens) {
     auto db = Db::Open(&env, "/db").value();
     EXPECT_EQ(db->stats().wal_records_replayed, 10u) << round;
     for (int i = 0; i < 10; ++i) {
-      EXPECT_EQ(db->Get("k" + std::to_string(i)).value(), std::to_string(i));
+      EXPECT_EQ(db->Get(Numbered("k", i)).value(), std::to_string(i));
     }
   }
 }
