@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/matcher.h"
 #include "core/profile_store.h"
 #include "core/pstorm.h"
@@ -58,21 +57,14 @@ void BM_StorageDbPut(benchmark::State& state) {
 }
 BENCHMARK(BM_StorageDbPut);
 
-// The headline number of the background-maintenance work: per-Put latency
-// while the store is continuously flushing and compacting. Arg(0) runs
-// maintenance inline (a Put periodically pays a whole flush or L0→L1
-// compaction under writer_mu_); Arg(1) runs it on a background pool, so a
-// Put pays only the WAL append + memtable insert (+ an occasional memtable
-// swap), and the worst-case latency drops from O(compaction) to
-// O(memtable append). Compare the two rows' max/stddev, not just means.
+// Per-Put cost while the store is continuously flushing and compacting:
+// a Put periodically pays a whole flush or L0→L1 compaction inline under
+// writer_mu_, so the mean carries the amortized maintenance cost.
 void BM_PutDuringCompaction(benchmark::State& state) {
-  const bool background = state.range(0) != 0;
   storage::InMemoryEnv env;
-  common::ThreadPool pool(2);
   storage::DbOptions options;
   options.memtable_flush_bytes = 16u << 10;  // Constant churn.
   options.l0_compaction_trigger = 4;
-  options.maintenance_pool = background ? &pool : nullptr;
   auto db = storage::Db::Open(&env, "/bm-db-compact", options).value();
   int i = 0;
   const std::string value(128, 'v');
@@ -80,17 +72,11 @@ void BM_PutDuringCompaction(benchmark::State& state) {
     benchmark::DoNotOptimize(
         db->Put("key" + std::to_string(i++ % 4096), value));
   }
-  PSTORM_CHECK_OK(db->WaitForIdle());
   state.SetItemsProcessed(state.iterations());
   state.counters["flushes"] =
       static_cast<double>(db->stats().flushes);
-  state.counters["stalls"] =
-      static_cast<double>(db->stats().write_stalls);
 }
-BENCHMARK(BM_PutDuringCompaction)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"background"});
+BENCHMARK(BM_PutDuringCompaction);
 
 void BM_StorageDbGet(benchmark::State& state) {
   storage::InMemoryEnv env;
@@ -739,10 +725,6 @@ core::PStorM& SubmitBenchSystem() {
     auto* env = new storage::InMemoryEnv();
     // The default CBO budget, as RpcBenchServer serves with.
     core::PStormOptions options;
-    // Serve like production: store maintenance on the shared pool, off
-    // the submission path.
-    options.store.table.db_options.maintenance_pool =
-        common::ThreadPool::Shared();
     core::PStorM* created =
         core::PStorM::Create(sim, env, "/bm-submit", options)
             .value()

@@ -45,10 +45,4 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-ThreadPool* ThreadPool::Shared() {
-  static ThreadPool* pool =
-      new ThreadPool(std::max(1u, std::thread::hardware_concurrency()));
-  return pool;
-}
-
 }  // namespace pstorm::common

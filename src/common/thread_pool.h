@@ -16,11 +16,9 @@
 namespace pstorm::common {
 
 /// A fixed-size worker pool. Tasks are plain closures executed FIFO by the
-/// next free worker. It is the RPC server's request-worker pool, and it
-/// runs background flushes and compactions when passed as
-/// `storage::DbOptions::maintenance_pool`. Tasks must never *block on*
-/// other pool tasks: with every worker waiting, nothing is left to run
-/// what they wait for.
+/// next free worker. It is the RPC server's request-worker pool. Tasks must
+/// never *block on* other pool tasks: with every worker waiting, nothing is
+/// left to run what they wait for.
 ///
 /// Schedule/Submit are thread-safe, including from inside a running pool
 /// task (nested submission enqueues; it never runs inline and never
@@ -50,10 +48,6 @@ class ThreadPool {
   }
 
   size_t num_threads() const { return threads_.size(); }
-
-  /// The process-wide pool, sized to the hardware concurrency, created on
-  /// first use and kept alive for the life of the process.
-  static ThreadPool* Shared();
 
  private:
   void WorkerLoop();

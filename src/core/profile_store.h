@@ -70,8 +70,8 @@ struct ProfileStoreOptions {
   ProfileStoreOptions(hstore::HTableOptions table_options)
       : table(std::move(table_options)) {}
 
-  /// The backing hstore table (region split size, read-only mode,
-  /// DbOptions::maintenance_pool, ...).
+  /// The backing hstore table (region split size, read-only mode, the
+  /// region Dbs' options, ...).
   hstore::HTableOptions table;
 
   /// Flush the backing table after every PutProfile (profiles are
@@ -102,21 +102,15 @@ struct ProfileStoreOptions {
 /// read under shared locks; bounds only ever widen.
 class ProfileStore {
  public:
-  /// `options` configures the backing table (notably
-  /// DbOptions::maintenance_pool, which moves region flushes/compactions
-  /// off the PutProfile path onto a background scheduler). Open rebuilds
-  /// the match index from the table's Dynamic rows. An error in that
-  /// rebuild fails the open, except a Corruption: that is logged, counted
-  /// in pstorm_match_index_rebuild_failures_total, and the store serves
-  /// from an empty index that later puts fill.
+  /// `options` configures the backing table. Open rebuilds the match index
+  /// from the table's Dynamic rows. An error in that rebuild fails the
+  /// open, except a Corruption: that is logged, counted in
+  /// pstorm_match_index_rebuild_failures_total, and the store serves from
+  /// an empty index that later puts fill.
   static Result<std::unique_ptr<ProfileStore>> Open(
       storage::Env* env, std::string path, ProfileStoreOptions options = {});
 
   ~ProfileStore();
-
-  /// Quiesces the backing table's background maintenance (no-op without a
-  /// maintenance pool); returns the first latched background error.
-  Status WaitForIdle() const { return table_->WaitForIdle(); }
 
   /// Inserts or replaces the profile of `job_key` and updates the
   /// normalization bounds.

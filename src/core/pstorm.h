@@ -20,10 +20,8 @@ namespace pstorm::core {
 struct PStormOptions {
   MatchOptions match;
   optimizer::CostBasedOptimizer::Options cbo;
-  /// Passed through to the profile store: the backing table (set
-  /// store.table.db_options.maintenance_pool to move region
-  /// flushes/compactions off the SubmitJob path onto the background
-  /// scheduler) and the ingest knob.
+  /// Passed through to the profile store: the backing table and the
+  /// ingest knob.
   ProfileStoreOptions store;
 };
 

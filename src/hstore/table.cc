@@ -452,10 +452,6 @@ storage::DbStats HTable::AggregatedDbStats() const {
     total.wal_tail_truncated += s.wal_tail_truncated;
     total.quarantined_files += s.quarantined_files;
     total.orphans_removed += s.orphans_removed;
-    total.write_slowdowns += s.write_slowdowns;
-    total.write_stalls += s.write_stalls;
-    total.stall_micros += s.stall_micros;
-    total.bg_retries += s.bg_retries;
     total.replicated_batches += s.replicated_batches;
     total.replicated_records += s.replicated_records;
     total.fence_rejections += s.fence_rejections;
@@ -479,16 +475,6 @@ HTable::ReplicationSnapshot HTable::GetReplicationSnapshot() const {
         "region_" + std::to_string(region->id()), region->db()});
   }
   return snap;
-}
-
-Status HTable::WaitForIdle() const {
-  std::shared_lock<std::shared_mutex> lock(table_mu_);
-  Status first_error = Status::OK();
-  for (const auto& region : regions_) {
-    const Status s = region->db()->WaitForIdle();
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
-  return first_error;
 }
 
 Result<std::vector<RowResult>> HTable::Scan(const ScanSpec& spec,

@@ -142,12 +142,6 @@ class HTable {
   /// Persists buffered writes in every region.
   Status Flush();
 
-  /// Blocks until no region has background maintenance queued or running
-  /// (no-op without DbOptions::maintenance_pool) and returns the first
-  /// latched background error, if any. Quiesce before measuring or
-  /// tearing down.
-  Status WaitForIdle() const;
-
   /// .META.-style catalog rows: "<table>,<start_key>,<region_id>" in region
   /// order, mirroring the thesis §5.2.2 discussion.
   std::vector<std::string> MetaEntries() const;

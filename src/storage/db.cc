@@ -1,9 +1,7 @@
 #include "storage/db.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -75,22 +73,6 @@ obs::Counter& VersionPins() {
       obs::MetricsRegistry::Global().GetCounter("pstorm_db_version_pins_total");
   return c;
 }
-obs::Counter& WriteSlowdowns() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "pstorm_db_write_slowdowns_total");
-  return c;
-}
-obs::Counter& WriteStalls() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "pstorm_db_write_stalls_total");
-  return c;
-}
-/// Background flush/compaction attempts retried after a transient failure.
-obs::Counter& BgRetries() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("pstorm_bg_retries_total");
-  return c;
-}
 /// Writes/batches rejected by epoch fencing or replica read-only mode.
 obs::Counter& FenceRejections() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
@@ -112,53 +94,25 @@ obs::Counter& CheckpointsCreated() {
       "pstorm_db_checkpoints_total");
   return c;
 }
-/// Background tasks queued or running across every Db in the process.
-obs::Gauge& MaintQueueDepth() {
-  static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
-      "pstorm_db_maintenance_queue_depth");
-  return g;
-}
-/// Wall time a writer spent delayed (soft gate) or blocked (hard gate).
-obs::Histogram& WriteStallMicrosHist() {
-  static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
-      "pstorm_db_write_stall_micros");
-  return h;
-}
-/// Serialized bytes written by one background flush or compaction job.
-obs::Histogram& MaintJobBytes() {
-  static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
-      "pstorm_db_maintenance_job_bytes");
-  return h;
-}
-
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestHeader[] = "pstorm-manifest-v1";
 constexpr char kWalName[] = "WAL";
-/// The rotated log holding exactly the immutable memtable's records while a
-/// background flush is in flight; deleted once the flush's manifest lands.
+/// The rotated log an earlier build left during a flush (see Open); only
+/// recovery and InstallCheckpoint touch it now.
 constexpr char kWalImmName[] = "WAL.imm";
 constexpr char kQuarantineSuffix[] = ".quarantine";
 
-uint64_t ElapsedMicros(std::chrono::steady_clock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
 /// Forwards to a wrapped iterator while pinning the snapshot it reads:
-/// the memtable copies and the Version (and through it every sstable
+/// the memtable copy and the Version (and through it every sstable
 /// handle). Keeps the iterator valid across concurrent flushes and
 /// compactions.
 class PinnedIterator final : public Iterator {
  public:
   PinnedIterator(std::unique_ptr<Iterator> base,
                  std::shared_ptr<const Memtable> memtable,
-                 std::shared_ptr<const Memtable> imm,
                  std::shared_ptr<const Version> version)
       : base_(std::move(base)),
         memtable_(std::move(memtable)),
-        imm_(std::move(imm)),
         version_(std::move(version)) {}
 
   bool Valid() const override { return base_->Valid(); }
@@ -173,11 +127,16 @@ class PinnedIterator final : public Iterator {
  private:
   std::unique_ptr<Iterator> base_;
   std::shared_ptr<const Memtable> memtable_;
-  std::shared_ptr<const Memtable> imm_;
   std::shared_ptr<const Version> version_;
 };
 
 }  // namespace
+
+Db::Db(Env* env, std::string path, DbOptions options)
+    : env_(env),
+      path_(std::move(path)),
+      options_(std::move(options)),
+      wal_(env, JoinPath(path_, kWalName)) {}
 
 Result<std::unique_ptr<Db>> Db::Open(Env* env, std::string path,
                                      DbOptions options) {
@@ -198,13 +157,15 @@ Result<std::unique_ptr<Db>> Db::Open(Env* env, std::string path,
     PSTORM_RETURN_IF_ERROR(db->WriteManifest(*db->current_, 0));
   }
 
-  // Recover acked-but-unflushed mutations. If the process died while a
-  // background flush had the log rotated aside, the rotated log holds the
-  // older records: replay it first so the active log's records win, exactly
-  // as they did in memtable order before the crash. The logs stay in place
-  // until consolidated or truncated below, so a crash during recovery just
-  // replays again (replay is idempotent: last write per key wins).
-  const std::string wal_path = JoinPath(db->path_, kWalName);
+  // Recover acked-but-unflushed mutations. An earlier build could run
+  // flushes on a background pool, which rotated the log to WAL.imm for
+  // the memtable being flushed, so a store it wrote may still hold one.
+  // That rotated log holds the older records: replay it first so the
+  // active log's records win, exactly as they did in memtable order before
+  // the crash. The logs stay in place until consolidated or truncated
+  // below, so a crash during recovery just replays again (replay is
+  // idempotent: last write per key wins).
+  const std::string& wal_path = db->wal_.path();
   const std::string wal_imm_path = JoinPath(db->path_, kWalImmName);
   const bool had_rotated_wal = env->FileExists(wal_imm_path);
   uint64_t records_replayed = 0;
@@ -239,8 +200,8 @@ Result<std::unique_ptr<Db>> Db::Open(Env* env, std::string path,
   if (had_rotated_wal || tail_truncated) {
     // Rewrite the active log as the byte-identical concatenation of the
     // intact framed prefixes (rotated log first — its records are older),
-    // then drop the rotated one. This both consolidates a mid-flush crash
-    // into a single log and amputates a torn tail: leaving the tear in
+    // then drop the rotated one. This both consolidates a leftover WAL.imm
+    // into the single log and amputates a torn tail: leaving the tear in
     // place would let later appends land *behind* garbage, where replay
     // can never reach them. Every step is crash-safe: the rewrite is
     // atomic (tmp+rename), and dying before the delete just means the
@@ -259,9 +220,6 @@ Result<std::unique_ptr<Db>> Db::Open(Env* env, std::string path,
       PSTORM_RETURN_IF_ERROR(env->DeleteFile(wal_imm_path));
     }
   }
-  if (options.wal_enabled) {
-    db->wal_ = std::make_unique<WalWriter>(env, wal_path);
-  }
 
   PSTORM_RETURN_IF_ERROR(db->RemoveOrphans());
   if (db->stats_.quarantined_files.load() > 0) {
@@ -271,16 +229,6 @@ Result<std::unique_ptr<Db>> Db::Open(Env* env, std::string path,
         db->WriteManifest(*db->current_, db->flushed_sequence_.load()));
   }
   return db;
-}
-
-Db::~Db() {
-  if (!background_mode()) return;
-  std::unique_lock<std::mutex> maint_lock(maint_mu_);
-  shutting_down_ = true;
-  maint_cv_.notify_all();
-  // The task captures a raw `this`: it must fully drain before members are
-  // torn down. Clearing bg_scheduled_ is its final touch of the Db.
-  maint_cv_.wait(maint_lock, [this] { return !bg_scheduled_; });
 }
 
 Status Db::RemoveOrphans() {
@@ -340,21 +288,8 @@ Status Db::WriteImpl(EntryType type, std::string_view key,
   });
   if (w.done) return w.status;  // A leader committed this write for us.
 
-  // Leader. Admission control runs once per batch: writers that queued up
-  // behind a throttled leader have already paid the delay by waiting.
-  if (background_mode()) {
-    const Status throttle = MaybeThrottleLocked();
-    if (!throttle.ok()) {
-      // Fail only this write; the next front writer retries admission
-      // itself.
-      writers_.pop_front();
-      writers_cv_.notify_all();
-      return throttle;
-    }
-  }
-
-  // Everything queued right now rides in this batch. Writers arriving
-  // during the WAL IO below queue behind it for the next leader.
+  // Leader. Everything queued right now rides in this batch. Writers
+  // arriving during the WAL IO below queue behind it for the next leader.
   const size_t batch_size = writers_.size();
   // The leader stamps commit sequences: base+1 .. base+batch_size, in
   // queue order. Only the (serialized) leader advances last_sequence_, and
@@ -362,45 +297,40 @@ Status Db::WriteImpl(EntryType type, std::string_view key,
   // which is safe because nothing durable carries those sequences.
   const uint64_t base_sequence =
       last_sequence_.load(std::memory_order_relaxed);
-  Status s;
-  Status ship;
-  if (wal_ != nullptr) {
-    // Log before memtable: a mutation is acked only once it would survive
-    // a crash. The whole batch goes down in one append — one fsync on a
-    // real filesystem — which is the point of the group commit.
-    WalSegment batch;
-    for (size_t i = 0; i < batch_size; ++i) {
-      const Writer* writer = writers_[i];
-      const uint64_t sequence = base_sequence + 1 + i;
-      const std::string frame =
-          EncodeWalRecord(sequence, writer->type, writer->key, writer->value);
-      batch.records.push_back(WalRecordRef{sequence,
-                                           DecodeFixed32(frame.data() + 4),
-                                           batch.raw.size(), frame.size()});
-      batch.raw += frame;
-    }
-    // Copied under the lock; SetCommitListener waits out in-flight batches,
-    // so the pointee outlives this call even though the lock drops.
-    CommitListener* const listener = commit_listener_;
-    const uint64_t commit_epoch = epoch_.load(std::memory_order_relaxed);
-    batch_in_flight_ = true;
-    writer_lock.unlock();
-    s = wal_->AppendBatch(batch.raw);
-    if (s.ok() && listener != nullptr) {
-      // Sync replication hook. The batch is locally durable either way; a
-      // ship failure is reported to the writers (see CommitListener docs).
-      ship = listener->OnCommit(commit_epoch, batch);
-    }
-    writer_lock.lock();
-    batch_in_flight_ = false;
-    if (s.ok()) {
-      stats_.wal_appends += batch_size;
-      ++stats_.wal_syncs;
-      WalAppends().Add(batch_size);
-      WalSyncs().Increment();
-    }
+  // Log before memtable: a mutation is acked only once its record has
+  // reached the log and would survive a process crash. The whole batch
+  // goes down in one env append, which is the point of the group commit.
+  WalSegment batch;
+  for (size_t i = 0; i < batch_size; ++i) {
+    const Writer* writer = writers_[i];
+    const uint64_t sequence = base_sequence + 1 + i;
+    const std::string frame =
+        EncodeWalRecord(sequence, writer->type, writer->key, writer->value);
+    batch.records.push_back(WalRecordRef{sequence,
+                                         DecodeFixed32(frame.data() + 4),
+                                         batch.raw.size(), frame.size()});
+    batch.raw += frame;
   }
+  // Copied under the lock; SetCommitListener waits out in-flight batches,
+  // so the pointee outlives this call even though the lock drops.
+  CommitListener* const listener = commit_listener_;
+  const uint64_t commit_epoch = epoch_.load(std::memory_order_relaxed);
+  batch_in_flight_ = true;
+  writer_lock.unlock();
+  Status s = wal_.AppendBatch(batch.raw);
+  Status ship;
+  if (s.ok() && listener != nullptr) {
+    // Sync replication hook. The batch is locally durable either way; a
+    // ship failure is reported to the writers (see CommitListener docs).
+    ship = listener->OnCommit(commit_epoch, batch);
+  }
+  writer_lock.lock();
+  batch_in_flight_ = false;
   if (s.ok()) {
+    stats_.wal_appends += batch_size;
+    ++stats_.wal_syncs;
+    WalAppends().Add(batch_size);
+    WalSyncs().Increment();
     {
       std::unique_lock<std::shared_mutex> state_lock(state_mu_);
       for (size_t i = 0; i < batch_size; ++i) {
@@ -443,287 +373,8 @@ Status Db::MaybeFlushLocked() {
   if (memtable_.ApproximateBytes() < options_.memtable_flush_bytes) {
     return Status::OK();
   }
-  if (background_mode()) {
-    // The write itself is done; just move the full memtable aside and let
-    // the scheduler persist it.
-    return ScheduleMemtableSwapLocked();
-  }
   return FlushLocked();
 }
-
-// --- Background scheduler -------------------------------------------------
-
-size_t Db::L0Count() const {
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
-  return current_->l0.size();
-}
-
-bool Db::HasImm() const {
-  std::shared_lock<std::shared_mutex> lock(state_mu_);
-  return imm_ != nullptr;
-}
-
-Status Db::MaybeThrottleLocked() {
-  const int stop = options_.l0_stop_threshold;
-  const int slowdown = options_.l0_slowdown_threshold;
-  std::unique_lock<std::mutex> maint_lock(maint_mu_);
-  if (!bg_error_.ok()) return bg_error_;
-  if (stop > 0 && static_cast<int>(L0Count()) >= stop) {
-    // Hard gate: level 0 is so far behind that admitting more flushes
-    // would only dig the hole deeper. Demand a compaction (even below the
-    // cascade trigger) and block until it brings L0 back under the line.
-    ++stats_.write_stalls;
-    WriteStalls().Increment();
-    compact_requested_ = true;
-    ScheduleMaintenanceLocked();
-    const auto start = std::chrono::steady_clock::now();
-    maint_cv_.wait(maint_lock, [&] {
-      return !bg_error_.ok() || shutting_down_ ||
-             static_cast<int>(L0Count()) < stop;
-    });
-    const uint64_t micros = ElapsedMicros(start);
-    stats_.stall_micros += micros;
-    WriteStallMicrosHist().Record(micros);
-    if (!bg_error_.ok()) return bg_error_;
-    return Status::OK();
-  }
-  if (slowdown > 0 && static_cast<int>(L0Count()) >= slowdown) {
-    // Soft gate: cede a little time per write so compaction gains ground
-    // instead of escalating straight to a full stop.
-    ++stats_.write_slowdowns;
-    WriteSlowdowns().Increment();
-    maint_lock.unlock();
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(kSlowdownDelayMicros));
-    stats_.stall_micros += kSlowdownDelayMicros;
-    WriteStallMicrosHist().Record(kSlowdownDelayMicros);
-  }
-  return Status::OK();
-}
-
-Status Db::ScheduleMemtableSwapLocked() {
-  if (memtable_.empty()) return Status::OK();
-  std::unique_lock<std::mutex> maint_lock(maint_mu_);
-  if (!bg_error_.ok()) return bg_error_;
-  if (HasImm()) {
-    // Only one memtable can be in flight; wait for the scheduler to drain
-    // the previous one. This is the memtable-full stall.
-    ++stats_.write_stalls;
-    WriteStalls().Increment();
-    ScheduleMaintenanceLocked();
-    const auto start = std::chrono::steady_clock::now();
-    maint_cv_.wait(maint_lock,
-                   [&] { return !bg_error_.ok() || !HasImm(); });
-    const uint64_t micros = ElapsedMicros(start);
-    stats_.stall_micros += micros;
-    WriteStallMicrosHist().Record(micros);
-    if (!bg_error_.ok()) return bg_error_;
-  }
-  // Rotate the log: the records of the memtable being swapped move aside
-  // with it, and the active log restarts empty for the fresh memtable. The
-  // rotated log is deleted only after the flush's manifest lands, so every
-  // acked record stays recoverable throughout.
-  if (wal_ != nullptr && env_->FileExists(JoinPath(path_, kWalName))) {
-    PSTORM_RETURN_IF_ERROR(env_->RenameFile(JoinPath(path_, kWalName),
-                                            JoinPath(path_, kWalImmName)));
-  }
-  // Everything in the memtable being swapped is covered by last_sequence_
-  // (writer_mu_ is held, no batch in flight): that is the watermark the
-  // flush's manifest will persist as `last_seq`.
-  imm_last_sequence_.store(last_sequence_.load(std::memory_order_acquire),
-                           std::memory_order_release);
-  {
-    std::unique_lock<std::shared_mutex> state_lock(state_mu_);
-    imm_ = std::make_shared<const Memtable>(std::move(memtable_));
-    memtable_ = Memtable();
-  }
-  ScheduleMaintenanceLocked();
-  return Status::OK();
-}
-
-void Db::SetScheduledLocked(bool scheduled) {
-  if (bg_scheduled_ == scheduled) return;
-  bg_scheduled_ = scheduled;
-  MaintQueueDepth().Add(scheduled ? 1 : -1);
-}
-
-void Db::ScheduleMaintenanceLocked() {
-  if (bg_scheduled_ || shutting_down_ || !bg_error_.ok()) return;
-  SetScheduledLocked(true);
-  options_.maintenance_pool->Schedule([this] { BackgroundWork(); });
-}
-
-void Db::BackgroundWork() {
-  while (true) {
-    bool want_compact = false;
-    {
-      std::lock_guard<std::mutex> maint_lock(maint_mu_);
-      if (shutting_down_) {
-        SetScheduledLocked(false);
-        maint_cv_.notify_all();
-        return;
-      }
-      // Read-and-clear: a request arriving mid-compaction schedules
-      // another pass on the next loop iteration.
-      want_compact = compact_requested_;
-      compact_requested_ = false;
-    }
-
-    Status s = Status::OK();
-    if (HasImm()) {
-      s = RunWithBgRetries("flush", [this] { return DoBackgroundFlush(); });
-    }
-    if (s.ok() &&
-        (want_compact || static_cast<int>(L0Count()) >=
-                             options_.l0_compaction_trigger)) {
-      s = RunWithBgRetries("compaction",
-                           [this] { return DoBackgroundCompaction(); });
-    }
-
-    std::lock_guard<std::mutex> maint_lock(maint_mu_);
-    if (!s.ok()) {
-      // Latch the first failure: writers and WaitForIdle report it from
-      // now on, and no further background work is admitted. Reopening the
-      // Db recovers from the WAL + manifest.
-      PSTORM_LOG(Warning) << "db " << path_
-                          << ": background maintenance failed: "
-                          << s.ToString();
-      if (bg_error_.ok()) bg_error_ = s;
-      SetScheduledLocked(false);
-      maint_cv_.notify_all();
-      return;
-    }
-    // More work may have arrived while this job ran (the check happens
-    // under maint_mu_, so a writer either saw bg_scheduled_ still true or
-    // will be seen here).
-    const bool more = !shutting_down_ &&
-                      (HasImm() || compact_requested_ ||
-                       static_cast<int>(L0Count()) >=
-                           options_.l0_compaction_trigger);
-    if (more) {
-      maint_cv_.notify_all();
-      continue;
-    }
-    SetScheduledLocked(false);
-    maint_cv_.notify_all();
-    return;
-  }
-}
-
-Status Db::RunWithBgRetries(const char* what,
-                            const std::function<Status()>& job) {
-  Status s = job();
-  uint64_t backoff = options_.bg_retry_backoff_micros;
-  for (int attempt = 0; !s.ok() && attempt < options_.bg_failure_retries;
-       ++attempt) {
-    const uint64_t capped =
-        std::min(backoff, options_.bg_retry_backoff_max_micros);
-    // Half the window fixed + half jittered, so colliding Dbs desynchronize
-    // without ever retrying immediately.
-    const uint64_t sleep_micros =
-        capped / 2 + bg_rng_.NextUint64(capped / 2 + 1);
-    {
-      std::unique_lock<std::mutex> maint_lock(maint_mu_);
-      if (shutting_down_) return s;
-      ++stats_.bg_retries;
-      BgRetries().Increment();
-      PSTORM_LOG(Warning) << "db " << path_ << ": background " << what
-                          << " failed (" << s.ToString() << "); retry "
-                          << (attempt + 1) << "/"
-                          << options_.bg_failure_retries << " in "
-                          << sleep_micros << "us";
-      // Interruptible backoff: shutdown must not wait out the full sleep.
-      maint_cv_.wait_for(maint_lock, std::chrono::microseconds(sleep_micros),
-                         [this] { return shutting_down_; });
-      if (shutting_down_) return s;
-    }
-    backoff = std::min(backoff * 2, options_.bg_retry_backoff_max_micros);
-    s = job();
-  }
-  return s;
-}
-
-Status Db::DoBackgroundFlush() {
-  // Only this (single) background task clears imm_, so the snapshot stays
-  // the flush source even after the lock drops; immutability makes the
-  // read below lock-free.
-  std::shared_ptr<const Memtable> imm;
-  {
-    std::shared_lock<std::shared_mutex> lock(state_mu_);
-    imm = imm_;
-  }
-  if (imm == nullptr) return Status::OK();
-
-  size_t bytes = 0;
-  PSTORM_ASSIGN_OR_RETURN(std::shared_ptr<TableHandle> handle,
-                          BuildTableFromMemtable(*imm, &bytes));
-  auto base = PinVersion();
-  auto next = std::make_shared<Version>();
-  next->l0.push_back(std::move(handle));
-  next->l0.insert(next->l0.end(), base->l0.begin(), base->l0.end());
-  next->l1 = base->l1;
-  // The manifest records the swap-time watermark: every sequence up to it
-  // is durable in `next`'s sstables. flushed_sequence_ advances only after
-  // the manifest referencing those tables has landed.
-  const uint64_t durable_sequence =
-      imm_last_sequence_.load(std::memory_order_acquire);
-  PSTORM_RETURN_IF_ERROR(WriteManifest(*next, durable_sequence));
-  flushed_sequence_.store(durable_sequence, std::memory_order_release);
-  // The flushed records are durable and referenced; the rotated log that
-  // carried them is dead weight. Deleting it before publishing keeps the
-  // invariant that an existing WAL.imm always shadows a pending imm_.
-  const std::string imm_wal = JoinPath(path_, kWalImmName);
-  if (env_->FileExists(imm_wal)) {
-    PSTORM_RETURN_IF_ERROR(env_->DeleteFile(imm_wal));
-  }
-  {
-    std::unique_lock<std::shared_mutex> state_lock(state_mu_);
-    current_ = std::move(next);
-    imm_.reset();
-  }
-  ++stats_.flushes;
-  stats_.bytes_flushed += bytes;
-  Flushes().Increment();
-  BytesFlushed().Add(bytes);
-  MaintJobBytes().Record(bytes);
-  return Status::OK();
-}
-
-Status Db::DoBackgroundCompaction() {
-  // The single background task is the only mutator of current_ in
-  // background mode, so `base` cannot be superseded mid-merge.
-  auto base = PinVersion();
-  if (base->l0.empty() && base->l1.size() <= 1) return Status::OK();
-  size_t bytes = 0;
-  PSTORM_ASSIGN_OR_RETURN(std::shared_ptr<Version> next,
-                          BuildCompactedVersion(*base, &bytes));
-  // Compaction rewrites tables without absorbing new records, so the
-  // durability watermark is unchanged.
-  PSTORM_RETURN_IF_ERROR(WriteManifest(*next, flushed_sequence_.load()));
-  {
-    std::unique_lock<std::shared_mutex> state_lock(state_mu_);
-    current_ = next;
-  }
-  ++stats_.compactions;
-  Compactions().Increment();
-  MaintJobBytes().Record(bytes);
-  // The superseded files stay on disk while any reader still pins them;
-  // each is deleted when its last pinning Version is released (see
-  // TableHandle).
-  base->MarkAllObsolete();
-  return Status::OK();
-}
-
-Status Db::WaitForIdle() const {
-  if (!background_mode()) return Status::OK();
-  std::unique_lock<std::mutex> maint_lock(maint_mu_);
-  maint_cv_.wait(maint_lock, [this] {
-    return !bg_scheduled_ && (!bg_error_.ok() || !HasImm());
-  });
-  return bg_error_;
-}
-
-// --- Shared flush/compaction mechanics ------------------------------------
 
 std::shared_ptr<const Version> Db::PinVersion() const {
   VersionPins().Increment();
@@ -740,14 +391,6 @@ Result<std::string> Db::Get(std::string_view key) const {
         return Status::NotFound("deleted");
       }
       return entry->value;
-    }
-    if (imm_ != nullptr) {
-      if (auto entry = imm_->Get(key); entry.has_value()) {
-        if (entry->type == EntryType::kTombstone) {
-          return Status::NotFound("deleted");
-        }
-        return entry->value;
-      }
     }
     version = current_;
   }
@@ -773,9 +416,7 @@ size_t Db::memtable_entries() const {
 
 size_t Db::ApproximateSizeBytes() const {
   std::shared_lock<std::shared_mutex> lock(state_mu_);
-  return memtable_.ApproximateBytes() +
-         (imm_ != nullptr ? imm_->ApproximateBytes() : 0) +
-         current_->TotalTableBytes();
+  return memtable_.ApproximateBytes() + current_->TotalTableBytes();
 }
 
 DbStats Db::stats() const {
@@ -790,10 +431,6 @@ DbStats Db::stats() const {
   out.wal_tail_truncated = stats_.wal_tail_truncated.load();
   out.quarantined_files = stats_.quarantined_files.load();
   out.orphans_removed = stats_.orphans_removed.load();
-  out.write_slowdowns = stats_.write_slowdowns.load();
-  out.write_stalls = stats_.write_stalls.load();
-  out.stall_micros = stats_.stall_micros.load();
-  out.bg_retries = stats_.bg_retries.load();
   out.replicated_batches = stats_.replicated_batches.load();
   out.replicated_records = stats_.replicated_records.load();
   out.fence_rejections = stats_.fence_rejections.load();
@@ -807,46 +444,40 @@ DbStats Db::stats() const {
 
 std::unique_ptr<Iterator> Db::NewIterator() const {
   std::shared_ptr<const Memtable> memtable;
-  std::shared_ptr<const Memtable> imm;
   std::shared_ptr<const Version> version;
   {
     std::shared_lock<std::shared_mutex> lock(state_mu_);
     memtable = std::make_shared<const Memtable>(memtable_);
-    imm = imm_;
     version = current_;
   }
   // Newest source first: the merging iterator resolves duplicate keys in
-  // child order (memtable shadows imm shadows tables).
+  // child order (memtable shadows tables).
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(memtable->NewIterator());
-  if (imm != nullptr) children.push_back(imm->NewIterator());
   version->AppendIterators(&children);
   return std::make_unique<PinnedIterator>(
       NewLiveRecordIterator(NewMergingIterator(std::move(children))),
-      std::move(memtable), std::move(imm), std::move(version));
+      std::move(memtable), std::move(version));
 }
 
 std::unique_ptr<Iterator> Db::NewPrefixIterator(
     std::string_view prefix) const {
   std::shared_ptr<const Memtable> memtable;
-  std::shared_ptr<const Memtable> imm;
   std::shared_ptr<const Version> version;
   {
     std::shared_lock<std::shared_mutex> lock(state_mu_);
     memtable = std::make_shared<const Memtable>(memtable_);
-    imm = imm_;
     version = current_;
   }
   // Same merge as NewIterator, minus every table whose prefix bloom filter
-  // rejects the prefix — the win this iterator exists for. The memtables
-  // always participate (no filter covers them).
+  // rejects the prefix — the win this iterator exists for. The memtable
+  // always participates (no filter covers it).
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(memtable->NewIterator());
-  if (imm != nullptr) children.push_back(imm->NewIterator());
   version->AppendIteratorsForPrefix(prefix, &children);
   return std::make_unique<PinnedIterator>(
       NewLiveRecordIterator(NewMergingIterator(std::move(children))),
-      std::move(memtable), std::move(imm), std::move(version));
+      std::move(memtable), std::move(version));
 }
 
 std::string Db::NewFileName() {
@@ -873,15 +504,6 @@ Result<std::shared_ptr<TableHandle>> Db::BuildTableFromMemtable(
 }
 
 Status Db::Flush() {
-  if (background_mode()) {
-    {
-      std::unique_lock<std::mutex> writer_lock = LockWriterForMaintenance();
-      PSTORM_RETURN_IF_ERROR(ScheduleMemtableSwapLocked());
-    }
-    // Preserve the synchronous contract callers (hstore splits, tests)
-    // rely on: when Flush returns, the data is in tables.
-    return WaitForIdle();
-  }
   std::unique_lock<std::mutex> writer_lock = LockWriterForMaintenance();
   return FlushLocked();
 }
@@ -915,9 +537,7 @@ Status Db::FlushLocked() {
   // The flushed records are durable in the sstable now; the log restarts
   // empty. Ordering matters: truncating before the manifest lands would
   // open a window where a crash loses the flushed-but-unreferenced data.
-  if (wal_ != nullptr) {
-    PSTORM_RETURN_IF_ERROR(wal_->Truncate());
-  }
+  PSTORM_RETURN_IF_ERROR(wal_.Truncate());
   if (static_cast<int>(current_->l0.size()) >=
       options_.l0_compaction_trigger) {
     return CompactAllLocked();
@@ -926,16 +546,6 @@ Status Db::FlushLocked() {
 }
 
 Status Db::CompactAll() {
-  if (background_mode()) {
-    {
-      std::unique_lock<std::mutex> writer_lock = LockWriterForMaintenance();
-      PSTORM_RETURN_IF_ERROR(ScheduleMemtableSwapLocked());
-      std::lock_guard<std::mutex> maint_lock(maint_mu_);
-      compact_requested_ = true;
-      ScheduleMaintenanceLocked();
-    }
-    return WaitForIdle();
-  }
   std::unique_lock<std::mutex> writer_lock = LockWriterForMaintenance();
   return CompactAllLocked();
 }
@@ -1012,7 +622,7 @@ Result<std::shared_ptr<Version>> Db::BuildCompactedVersion(
 Status Db::WriteManifest(const Version& version, uint64_t flushed_seq) {
   std::string out(kManifestHeader);
   out += "\n";
-  out += "next_file " + std::to_string(next_file_number_.load()) + "\n";
+  out += "next_file " + std::to_string(next_file_number_) + "\n";
   out += "last_seq " + std::to_string(flushed_seq) + "\n";
   // The fenced epoch record: a manifest carrying epoch E rejects shipped
   // batches from any primary announcing an epoch < E after reopen.
@@ -1092,77 +702,49 @@ Status Db::LoadManifest() {
 // --- Replication ----------------------------------------------------------
 
 Result<Db::ShipBatch> Db::FetchWalSince(uint64_t from_sequence) {
-  if (wal_ == nullptr) {
-    return Status::FailedPrecondition(
-        "WAL disabled: nothing to ship; replication requires wal_enabled");
-  }
+  // writer_mu_ with no batch in flight: no append, flush or truncate can
+  // touch the log while it is read.
   std::unique_lock<std::mutex> writer_lock = LockWriterForMaintenance();
   ShipBatch out;
   out.epoch = epoch_.load(std::memory_order_acquire);
-
-  const std::string wal_path = JoinPath(path_, kWalName);
-  const std::string imm_path = JoinPath(path_, kWalImmName);
-  // writer_mu_ keeps new appends out, but a background flush can still
-  // truncate/delete a log mid-read; detect that by re-checking the
-  // durability watermark and retrying.
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const uint64_t flushed_before =
-        flushed_sequence_.load(std::memory_order_acquire);
-    if (from_sequence <= flushed_before) {
-      // The log no longer reaches back that far — a flush truncated the
-      // records away. The follower must bootstrap from a checkpoint.
-      out.need_checkpoint = true;
-      out.segment = WalSegment();
-      return out;
-    }
-    WalSegment merged;
-    PSTORM_ASSIGN_OR_RETURN(WalSegment imm_segment,
-                            ReadWalSegment(*env_, imm_path, from_sequence));
-    PSTORM_ASSIGN_OR_RETURN(WalSegment wal_segment,
-                            ReadWalSegment(*env_, wal_path, from_sequence));
-    AppendWalSegment(&merged, imm_segment);
-    AppendWalSegment(&merged, wal_segment);
-    if (flushed_sequence_.load(std::memory_order_acquire) !=
-        flushed_before) {
-      continue;  // A flush landed mid-read; the segment may be torn.
-    }
-    // Contiguity paranoia: the follower applies strictly sequential
-    // records, so hand it either a gap-free run starting exactly at
-    // from_sequence or a checkpoint order.
-    bool contiguous = merged.empty() ||
-                      merged.first_sequence() == from_sequence;
-    for (size_t i = 1; contiguous && i < merged.records.size(); ++i) {
-      contiguous =
-          merged.records[i].sequence == merged.records[i - 1].sequence + 1;
-    }
-    if (!contiguous) {
-      out.need_checkpoint = true;
-      out.segment = WalSegment();
-      return out;
-    }
-    out.segment = std::move(merged);
+  if (from_sequence <= flushed_sequence_.load(std::memory_order_acquire)) {
+    // The log no longer reaches back that far — a flush truncated the
+    // records away. The follower must bootstrap from a checkpoint.
+    out.need_checkpoint = true;
     return out;
   }
-  // Flushes kept landing between reads; the checkpoint path is always safe.
-  out.need_checkpoint = true;
-  out.segment = WalSegment();
+  PSTORM_ASSIGN_OR_RETURN(
+      WalSegment segment,
+      ReadWalSegment(*env_, wal_.path(), from_sequence));
+  // Contiguity paranoia: the follower applies strictly sequential records,
+  // so hand it either a gap-free run starting exactly at from_sequence or
+  // a checkpoint order.
+  bool contiguous =
+      segment.empty() || segment.first_sequence() == from_sequence;
+  for (size_t i = 1; contiguous && i < segment.records.size(); ++i) {
+    contiguous =
+        segment.records[i].sequence == segment.records[i - 1].sequence + 1;
+  }
+  if (!contiguous) {
+    out.need_checkpoint = true;
+    return out;
+  }
+  out.segment = std::move(segment);
   return out;
 }
 
 Result<DbCheckpoint> Db::Checkpoint() {
-  // Quiesce: writer lock keeps mutations out, WaitForIdle drains the
-  // background task (and surfaces its latched error instead of
-  // snapshotting a wedged Db). After it, imm_ is empty and current_ /
-  // flushed_sequence_ are stable.
+  // The writer lock keeps writes, flushes and compactions out, so
+  // current_, flushed_sequence_ and the log are stable while they are
+  // copied.
   std::unique_lock<std::mutex> writer_lock = LockWriterForMaintenance();
-  PSTORM_RETURN_IF_ERROR(WaitForIdle());
 
   DbCheckpoint checkpoint;
   checkpoint.epoch = epoch_.load(std::memory_order_acquire);
   checkpoint.flushed_sequence =
       flushed_sequence_.load(std::memory_order_acquire);
   checkpoint.last_sequence = last_sequence_.load(std::memory_order_acquire);
-  checkpoint.next_file_number = next_file_number_.load();
+  checkpoint.next_file_number = next_file_number_;
 
   const std::shared_ptr<const Version> version = PinVersion();
   auto copy_level = [&](const std::vector<std::shared_ptr<TableHandle>>& in,
@@ -1178,22 +760,10 @@ Result<DbCheckpoint> Db::Checkpoint() {
   PSTORM_RETURN_IF_ERROR(copy_level(version->l0, &checkpoint.l0));
   PSTORM_RETURN_IF_ERROR(copy_level(version->l1, &checkpoint.l1));
 
-  if (wal_ != nullptr) {
-    WalSegment tail;
-    // Idle means WAL.imm is gone, but read it defensively anyway — extra
-    // records below the flushed watermark are filtered out either way.
-    PSTORM_ASSIGN_OR_RETURN(
-        WalSegment imm_segment,
-        ReadWalSegment(*env_, JoinPath(path_, kWalImmName),
-                       checkpoint.flushed_sequence + 1));
-    PSTORM_ASSIGN_OR_RETURN(
-        WalSegment wal_segment,
-        ReadWalSegment(*env_, JoinPath(path_, kWalName),
-                       checkpoint.flushed_sequence + 1));
-    AppendWalSegment(&tail, imm_segment);
-    AppendWalSegment(&tail, wal_segment);
-    checkpoint.wal_tail = std::move(tail.raw);
-  }
+  PSTORM_ASSIGN_OR_RETURN(
+      WalSegment tail,
+      ReadWalSegment(*env_, wal_.path(), checkpoint.flushed_sequence + 1));
+  checkpoint.wal_tail = std::move(tail.raw);
   ++stats_.checkpoints_created;
   CheckpointsCreated().Increment();
   return checkpoint;
@@ -1208,7 +778,9 @@ Status Db::InstallCheckpoint(Env* env, const std::string& path,
   // leaves the old *flushed prefix* — consistent, just stale; a crash
   // after the manifest delete leaves a clean empty Db (the old sstables
   // become unreferenced orphans). Deleting the manifest first would leave
-  // a WAL-only directory whose records replay onto the wrong base.
+  // a WAL-only directory whose records replay onto the wrong base. A
+  // WAL.imm left by an earlier build goes too: Open would replay it onto
+  // the checkpoint.
   for (const char* name : {kWalName, kWalImmName, kManifestName}) {
     const std::string file = JoinPath(path, name);
     if (env->FileExists(file)) {
@@ -1255,10 +827,8 @@ Status Db::InstallCheckpoint(Env* env, const std::string& path,
 }
 
 Status Db::AdoptEpochLocked(uint64_t new_epoch) {
-  // Quiesce the background task: it is the only other manifest writer, and
-  // the fence must not be overwritten by a concurrent flush's manifest
-  // carrying the old epoch.
-  PSTORM_RETURN_IF_ERROR(WaitForIdle());
+  // writer_mu_ is held, so no flush can overwrite the fence with a
+  // manifest carrying the old epoch.
   const std::shared_ptr<const Version> version = PinVersion();
   const uint64_t old_epoch = epoch_.load(std::memory_order_acquire);
   epoch_.store(new_epoch, std::memory_order_release);
@@ -1298,9 +868,6 @@ Status Db::ApplyReplicated(uint64_t primary_epoch, const WalSegment& segment) {
   }
   if (segment.raw.empty()) return Status::OK();  // Heartbeat / pure fencing.
 
-  if (background_mode()) {
-    PSTORM_RETURN_IF_ERROR(MaybeThrottleLocked());
-  }
   PSTORM_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
                           DecodeWalRecords(segment.raw));
   const uint64_t expected =
@@ -1316,16 +883,14 @@ Status Db::ApplyReplicated(uint64_t primary_epoch, const WalSegment& segment) {
       return Status::InvalidArgument("non-contiguous shipped batch");
     }
   }
-  if (wal_ != nullptr) {
-    // Byte-identical append: the replica's log carries the primary's exact
-    // frames (sequences and checksums included), which is what makes
-    // divergence detectable and a promoted replica's log shippable onward.
-    PSTORM_RETURN_IF_ERROR(wal_->AppendBatch(segment.raw));
-    stats_.wal_appends += records.size();
-    ++stats_.wal_syncs;
-    WalAppends().Add(records.size());
-    WalSyncs().Increment();
-  }
+  // Byte-identical append: the replica's log carries the primary's exact
+  // frames (sequences and checksums included), which is what makes
+  // divergence detectable and a promoted replica's log shippable onward.
+  PSTORM_RETURN_IF_ERROR(wal_.AppendBatch(segment.raw));
+  stats_.wal_appends += records.size();
+  ++stats_.wal_syncs;
+  WalAppends().Add(records.size());
+  WalSyncs().Increment();
   {
     std::unique_lock<std::shared_mutex> state_lock(state_mu_);
     for (const WalRecord& record : records) {
@@ -1347,7 +912,6 @@ Status Db::ApplyReplicated(uint64_t primary_epoch, const WalSegment& segment) {
 Status Db::PromoteToPrimary() {
   std::unique_lock<std::mutex> writer_lock = LockWriterForMaintenance();
   if (!replica_.load(std::memory_order_acquire)) return Status::OK();
-  PSTORM_RETURN_IF_ERROR(WaitForIdle());
   const std::shared_ptr<const Version> version = PinVersion();
   const uint64_t old_epoch = epoch_.load(std::memory_order_acquire);
   epoch_.store(old_epoch + 1, std::memory_order_release);

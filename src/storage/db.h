@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -12,10 +11,8 @@
 #include <string_view>
 #include <vector>
 
-#include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "storage/env.h"
 #include "storage/iterator.h"
 #include "storage/memtable.h"
@@ -32,24 +29,6 @@ struct DbOptions {
   int l0_compaction_trigger = 4;
   /// Target size of each level-1 table produced by compaction.
   size_t target_file_bytes = 2 << 20;
-  /// Append every mutation to a write-ahead log before the memtable, so an
-  /// acked write survives a crash without waiting for a flush. Off buys
-  /// write throughput at the cost of losing the unflushed memtable.
-  bool wal_enabled = true;
-  /// When set, flushes and compactions run as tasks on this pool instead of
-  /// inline on the writer thread: Put/Delete only append to the WAL and the
-  /// memtable, swap a full memtable aside, and schedule background work.
-  /// When null (the default) all maintenance runs inline under the writer
-  /// mutex — the deterministic single-thread mode the unit tests rely on.
-  /// The pool must outlive the Db.
-  common::ThreadPool* maintenance_pool = nullptr;
-  /// Admission control, background mode only (LevelDB-style). At or above
-  /// `l0_slowdown_threshold` level-0 tables each write is delayed by
-  /// kSlowdownDelayMicros so compaction can gain ground; at or above
-  /// `l0_stop_threshold` writers block until the backlog drops below the
-  /// stop threshold. 0 disables the respective gate.
-  int l0_slowdown_threshold = 8;
-  int l0_stop_threshold = 12;
   /// Decoded-block budget of the block cache every sstable read consults
   /// before re-inflating a block. 0 disables caching. Ignored when
   /// `block_cache` is set.
@@ -67,14 +46,6 @@ struct DbOptions {
   /// Reads stay fully available (snapshot-isolated, as always).
   /// PromoteToPrimary() flips the Db writable and bumps the fencing epoch.
   bool read_only_replica = false;
-  /// Background-maintenance retry policy: a failed flush or compaction is
-  /// retried this many times — with jittered exponential backoff starting
-  /// at `bg_retry_backoff_micros`, capped at `bg_retry_backoff_max_micros`
-  /// — before the error latches into bg_error_ and wedges the Db until
-  /// reopen. 0 restores latch-on-first-failure.
-  int bg_failure_retries = 3;
-  uint64_t bg_retry_backoff_micros = 500;
-  uint64_t bg_retry_backoff_max_micros = 50000;
 };
 
 /// Counters exposed for observability and the micro-benchmarks.
@@ -85,9 +56,10 @@ struct DbStats {
   uint64_t bytes_compacted = 0;
   /// Mutations appended to the write-ahead log.
   uint64_t wal_appends = 0;
-  /// Physical log writes (env appends, i.e. fsyncs on a real filesystem).
-  /// Group commit makes this less than wal_appends under concurrent
-  /// writers: one IO covers a whole batch.
+  /// Physical log writes (env appends). Group commit makes this less than
+  /// wal_appends under concurrent writers: one append covers a whole batch.
+  /// No append is fsynced (PosixEnv::AppendFile writes and flushes to the
+  /// OS), so an acked write survives a process crash but not a power loss.
   uint64_t wal_syncs = 0;
   /// Records recovered from the log by the last Open.
   uint64_t wal_records_replayed = 0;
@@ -98,16 +70,11 @@ struct DbStats {
   /// Unreferenced leftovers (crashed flush/compaction debris) deleted by
   /// Open.
   uint64_t orphans_removed = 0;
-  /// Writes delayed by the soft admission-control gate (background mode).
-  uint64_t write_slowdowns = 0;
-  /// Writes blocked by the hard gate (L0 backlog or a full immutable
-  /// memtable) until background maintenance caught up.
-  uint64_t write_stalls = 0;
-  /// Total wall time writers spent delayed or blocked, in microseconds.
+  /// Always 0: no write is ever delayed or blocked for maintenance. A flush
+  /// or compaction runs inline on the writer whose batch fills the
+  /// memtable, so its cost shows in that write's latency. Kept because
+  /// perfbench reports it as `storage.stall_ms`.
   uint64_t stall_micros = 0;
-  /// Background flush/compaction attempts retried after a transient Env
-  /// failure (see DbOptions::bg_failure_retries).
-  uint64_t bg_retries = 0;
   /// Replication batches accepted through ApplyReplicated.
   uint64_t replicated_batches = 0;
   /// Individual records applied through ApplyReplicated.
@@ -135,9 +102,9 @@ struct DbStats {
 ///  * Readers (`Get`, `NewIterator`, the size accessors) may run from any
 ///    number of threads concurrently with each other and with writers.
 ///    They take the state mutex shared just long enough to probe the
-///    memtable (and the immutable memtable awaiting flush, background mode)
-///    and pin the current Version (an immutable, refcounted {sstable list}
-///    snapshot — see storage/version.h), then search it lock-free.
+///    memtable and pin the current Version (an immutable, refcounted
+///    {sstable list} snapshot — see storage/version.h), then search it
+///    lock-free.
 ///  * Writers (`Put`, `Delete`, `Flush`, `CompactAll`) serialize on an
 ///    internal writer mutex (WAL append order == memtable order ==
 ///    manifest order) and publish memtable edits under a brief exclusive
@@ -146,13 +113,10 @@ struct DbStats {
 ///    the queue into one WAL append (releasing the writer mutex for the
 ///    IO), applies the batch to the memtable in queue order, and wakes the
 ///    followers with their status.
-///  * With `DbOptions::maintenance_pool` set, flushes and compactions run
-///    on the pool: a write blocks only on the memtable append, the WAL
-///    append, or an explicit admission-control stall. At most one
-///    background task runs per Db at a time, so flush/compaction/manifest
-///    writes never race each other; `WaitForIdle()` is the quiescing
-///    barrier. A failed background job latches its status — subsequent
-///    writes return it — and reopening recovers from the WAL.
+///  * Flushes and compactions run inline under the writer mutex: on the
+///    leader whose batch fills the memtable, or in an explicit Flush /
+///    CompactAll. So flush, compaction and manifest writes never race each
+///    other or a WAL append.
 ///  * Obsolete sstables are deleted only when the last Version pinning
 ///    them is released, so an iterator keeps serving from compacted-away
 ///    tables.
@@ -178,7 +142,7 @@ struct DbCheckpoint {
   std::string wal_tail;
 };
 
-/// Lock order: writer_mu_ -> maint_mu_ -> state_mu_ (never the reverse).
+/// Lock order: writer_mu_ -> state_mu_ (never the reverse).
 class Db {
  public:
   /// Observes every committed write batch, synchronously, from the
@@ -197,25 +161,18 @@ class Db {
     virtual ~CommitListener() = default;
     virtual Status OnCommit(uint64_t epoch, const WalSegment& batch) = 0;
   };
-  /// Soft-gate delay applied per write while level 0 is over the slowdown
-  /// threshold (background mode).
-  static constexpr int kSlowdownDelayMicros = 1000;
 
   /// Opens (or creates) a database rooted at `path` inside `env`, which
   /// must outlive the Db. Recovery sequence: load the manifest
   /// (quarantining any unreadable sstable instead of failing the open),
-  /// replay the write-ahead logs into the memtable — first the rotated
-  /// log of a flush that was in flight when the process died, then the
-  /// active log, both stopping cleanly at a torn tail — then sweep files
-  /// the manifest no longer references. A corrupt manifest itself still
+  /// replay the write-ahead log into the memtable, stopping cleanly at a
+  /// torn tail (a `WAL.imm` that an earlier build left beside it is
+  /// replayed first and folded into the one log), then sweep files the
+  /// manifest no longer references. A corrupt manifest itself still
   /// fails the open — the layer above (hstore) decides whether to
   /// sacrifice the region.
   static Result<std::unique_ptr<Db>> Open(Env* env, std::string path,
                                           DbOptions options = {});
-
-  /// Blocks until in-flight background work finishes (no new work is
-  /// started); buffered writes may stay in the memtable/WAL unflushed.
-  ~Db();
 
   Db(const Db&) = delete;
   Db& operator=(const Db&) = delete;
@@ -244,21 +201,12 @@ class Db {
   /// missing because a skipped table could have shadowed them.
   std::unique_ptr<Iterator> NewPrefixIterator(std::string_view prefix) const;
 
-  /// Persists the memtable as a level-0 table (no-op when empty). Inline
-  /// mode runs a compaction if level 0 is over the trigger; background
-  /// mode schedules the flush and waits for the scheduler to go idle.
+  /// Persists the memtable as a level-0 table (no-op when empty), then
+  /// runs a compaction if level 0 is at the trigger.
   Status Flush();
 
   /// Merges everything into a fresh level-1 run, dropping tombstones.
-  /// Background mode schedules the work and waits for idle.
   Status CompactAll();
-
-  /// Blocks until no background maintenance is scheduled or running and no
-  /// immutable memtable awaits flush, then returns the latched status of
-  /// the last failed background job (OK when none failed). Inline mode
-  /// returns immediately. The quiescing barrier for tests, benchmarks, and
-  /// the hstore layer.
-  Status WaitForIdle() const;
 
   size_t num_level0_tables() const;
   size_t num_level1_tables() const;
@@ -268,20 +216,18 @@ class Db {
   const std::shared_ptr<BlockCache>& block_cache() const {
     return block_cache_;
   }
-  /// Rough resident payload: memtable (+ immutable memtable) bytes plus
-  /// serialized table bytes.
+  /// Rough resident payload: memtable bytes plus serialized table bytes.
   size_t ApproximateSizeBytes() const;
   /// A consistent snapshot of the counters.
   DbStats stats() const;
 
   // --- Replication (see storage/replication.h for the shipping layer). ---
 
-  /// Every intact WAL record with sequence >= `from_sequence`, in order,
-  /// rotated log (WAL.imm) first then the active log — the shipper's pull
-  /// primitive. `need_checkpoint` is set (with an empty segment) when the
-  /// log no longer reaches back to `from_sequence` because a flush
-  /// truncated it; the follower must bootstrap from Checkpoint() instead.
-  /// FailedPrecondition when the WAL is disabled.
+  /// Every intact WAL record with sequence >= `from_sequence`, in order —
+  /// the shipper's pull primitive. `need_checkpoint` is set (with an empty
+  /// segment) when the log no longer reaches back to `from_sequence`
+  /// because a flush truncated it; the follower must bootstrap from
+  /// Checkpoint() instead.
   struct ShipBatch {
     uint64_t epoch = 0;
     bool need_checkpoint = false;
@@ -289,10 +235,10 @@ class Db {
   };
   Result<ShipBatch> FetchWalSince(uint64_t from_sequence);
 
-  /// A consistent snapshot for follower bootstrap: quiesces background
-  /// work, pins the current Version, and copies every live sstable plus
-  /// the WAL tail past the flushed prefix. Surfaces any latched background
-  /// error rather than snapshotting a wedged Db.
+  /// A consistent snapshot for follower bootstrap: holds the writer mutex
+  /// (no write, flush or compaction runs meanwhile), pins the current
+  /// Version, and copies every live sstable plus the WAL tail past the
+  /// flushed prefix.
   Result<DbCheckpoint> Checkpoint();
 
   /// Materializes `checkpoint` as a fresh Db directory at `path` (crash
@@ -343,22 +289,13 @@ class Db {
     std::atomic<uint64_t> wal_tail_truncated{0};
     std::atomic<uint64_t> quarantined_files{0};
     std::atomic<uint64_t> orphans_removed{0};
-    std::atomic<uint64_t> write_slowdowns{0};
-    std::atomic<uint64_t> write_stalls{0};
-    std::atomic<uint64_t> stall_micros{0};
-    std::atomic<uint64_t> bg_retries{0};
     std::atomic<uint64_t> replicated_batches{0};
     std::atomic<uint64_t> replicated_records{0};
     std::atomic<uint64_t> fence_rejections{0};
     std::atomic<uint64_t> checkpoints_created{0};
   };
 
-  Db(Env* env, std::string path, DbOptions options)
-      : env_(env), path_(std::move(path)), options_(options) {}
-
-  bool background_mode() const {
-    return options_.maintenance_pool != nullptr;
-  }
+  Db(Env* env, std::string path, DbOptions options);
 
   /// One queued mutation in the group-commit protocol. Lives on its
   /// writer's stack; the string_views stay valid because that thread
@@ -383,50 +320,14 @@ class Db {
   /// log must not be touched until that batch has been applied.
   std::unique_lock<std::mutex> LockWriterForMaintenance();
 
-  /// The *Locked variants require writer_mu_ held (inline mode).
+  /// The *Locked variants require writer_mu_ held.
   Status MaybeFlushLocked();
   Status FlushLocked();
   Status CompactAllLocked();
 
-  // --- Background scheduler (background mode only). ---
-  /// Admission control, called with writer_mu_ held before the WAL append:
-  /// returns the latched background error, sleeps kSlowdownDelayMicros at
-  /// the soft gate, and blocks at the hard gate until compaction catches
-  /// up.
-  Status MaybeThrottleLocked();
-  /// Moves the full memtable aside as the immutable memtable (waiting for
-  /// a still-pending one to flush first), rotates the WAL, and schedules a
-  /// background flush. Requires writer_mu_ held. No-op when the memtable
-  /// is empty.
-  Status ScheduleMemtableSwapLocked();
-  /// Requires maint_mu_ held. Queues BackgroundWork on the pool unless one
-  /// is already queued/running, the Db is shutting down, or a background
-  /// error is latched.
-  void ScheduleMaintenanceLocked();
-  /// Flips bg_scheduled_ and keeps the global queue-depth gauge balanced.
-  /// Requires maint_mu_ held.
-  void SetScheduledLocked(bool scheduled);
-  /// The pool task: drains work (flush the immutable memtable, then
-  /// compact if requested or level 0 is over the trigger) until none is
-  /// left, notifying stalled writers after every job.
-  void BackgroundWork();
-  /// Runs `job`, retrying up to DbOptions::bg_failure_retries times with
-  /// jittered capped exponential backoff (shutdown-responsive sleeps on
-  /// maint_cv_) before returning the last error — the transient-Env-error
-  /// shield in front of the bg_error_ latch.
-  Status RunWithBgRetries(const char* what, const std::function<Status()>& job);
-  Status DoBackgroundFlush();
-  Status DoBackgroundCompaction();
-  /// Current level-0 table count (takes state_mu_ shared; safe under
-  /// maint_mu_ per the lock order).
-  size_t L0Count() const;
-  /// Whether an immutable memtable awaits flush (takes state_mu_ shared).
-  bool HasImm() const;
-
   /// Serializes `memtable` into a new level-0 sstable file and returns a
-  /// handle to it; `*bytes` gets the serialized size. The caller must
-  /// guarantee the memtable is not mutated meanwhile (writer_mu_ held, or
-  /// an immutable memtable).
+  /// handle to it; `*bytes` gets the serialized size. writer_mu_ must be
+  /// held, so the memtable is not mutated meanwhile.
   Result<std::shared_ptr<TableHandle>> BuildTableFromMemtable(
       const Memtable& memtable, size_t* bytes);
   /// Merges every table of `base` into a fresh level-1 run (tombstones
@@ -436,14 +337,13 @@ class Db {
                                                          size_t* bytes);
 
   /// Writes `version` plus the durability watermark (`last_seq` tag) and
-  /// the current fencing epoch to the manifest. Serialized by writer_mu_ in
-  /// inline mode and by the single background task in background mode (plus
-  /// the single-threaded Open). Callers must only pass a `flushed_seq`
-  /// actually durable in `version`'s sstables.
+  /// the current fencing epoch to the manifest. Serialized by writer_mu_
+  /// (or run by the single-threaded Open). Callers must only pass a
+  /// `flushed_seq` actually durable in `version`'s sstables.
   Status WriteManifest(const Version& version, uint64_t flushed_seq);
   /// Persists and adopts a higher epoch announced by the current primary
-  /// (replica side; writer_mu_ held via `lock`). Quiesces background work
-  /// so the manifest write cannot race a flush's.
+  /// (replica side; writer_mu_ held, so no flush's manifest write races
+  /// this one).
   Status AdoptEpochLocked(uint64_t new_epoch);
   /// Open-time only (single-threaded).
   Status LoadManifest();
@@ -459,12 +359,11 @@ class Db {
   Env* env_;
   std::string path_;
   DbOptions options_;
-  std::unique_ptr<WalWriter> wal_;
+  WalWriter wal_;
   std::shared_ptr<BlockCache> block_cache_;
 
   /// Serializes every mutation entry point: WAL appends, memtable writes,
-  /// memtable swaps, and (inline mode) flushes/compactions/manifest
-  /// writes.
+  /// flushes, compactions and manifest writes.
   std::mutex writer_mu_;
   /// Group-commit state, guarded by writer_mu_. The front writer is the
   /// leader; batch_in_flight_ is true while it has writer_mu_ released for
@@ -474,8 +373,8 @@ class Db {
   std::deque<Writer*> writers_;
   std::condition_variable writers_cv_;
   bool batch_in_flight_ = false;
-  /// Atomic so the background task can name files without writer_mu_.
-  std::atomic<uint64_t> next_file_number_{1};
+  /// Guarded by writer_mu_ (or touched by the single-threaded Open).
+  uint64_t next_file_number_ = 1;
   /// Highest committed sequence number; advanced only by the group-commit
   /// leader (under the in-flight window) and by ApplyReplicated, both
   /// serialized through writer_mu_. Atomic so readers/shippers can load it
@@ -484,12 +383,8 @@ class Db {
   /// Highest sequence durable in sstables (== manifest `last_seq`).
   /// Written only after the manifest recording it has been persisted.
   std::atomic<uint64_t> flushed_sequence_{0};
-  /// last_sequence_ captured when the memtable was swapped aside — the
-  /// watermark the background flush's manifest write records.
-  std::atomic<uint64_t> imm_last_sequence_{0};
-  /// Fencing epoch; changes only under writer_mu_ with background work
-  /// quiesced (promote / epoch adoption), after the manifest persisting it
-  /// succeeded.
+  /// Fencing epoch; changes only under writer_mu_ (promote / epoch
+  /// adoption), after the manifest persisting it succeeded.
   std::atomic<uint64_t> epoch_{1};
   /// True while in replica mode (client writes fenced).
   std::atomic<bool> replica_{false};
@@ -498,27 +393,11 @@ class Db {
   /// in-flight batches, so the pointee outlives every call.
   CommitListener* commit_listener_ = nullptr;
 
-  /// Guards the background scheduler state below; maint_cv_ is notified
-  /// after every completed background job, on errors, and at shutdown.
-  mutable std::mutex maint_mu_;
-  mutable std::condition_variable maint_cv_;
-  bool bg_scheduled_ = false;      // A BackgroundWork task is queued/running.
-  bool compact_requested_ = false; // An explicit CompactAll is pending.
-  bool shutting_down_ = false;     // Set by ~Db: finish the job, stop.
-  Status bg_error_;                // First background failure, latched.
-  /// Backoff jitter for RunWithBgRetries. Touched only from the (single)
-  /// background task — or from the writer thread in inline mode, where
-  /// maintenance is serialized by writer_mu_ — so no extra lock.
-  Rng bg_rng_{0x9e3779b97f4a7c15ull};
-
   /// Guards the reader-visible state below. Readers hold it shared only
-  /// while probing the memtables and pinning current_; writers hold it
+  /// while probing the memtable and pinning current_; writers hold it
   /// exclusive only while applying a memtable edit or swapping state.
   mutable std::shared_mutex state_mu_;
   Memtable memtable_;
-  /// Background mode: the swapped-aside memtable the scheduler is
-  /// flushing. Immutable once published, so the flush reads it lock-free.
-  std::shared_ptr<const Memtable> imm_;
   std::shared_ptr<const Version> current_;
 
   AtomicDbStats stats_;

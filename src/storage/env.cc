@@ -212,22 +212,12 @@ void FaultInjectionEnv::SetErrorProbability(double p, uint64_t seed) {
   rng_ = Rng(seed);
 }
 
-void FaultInjectionEnv::SetTransientErrorWindow(uint64_t first,
-                                                uint64_t count) {
-  std::lock_guard<std::mutex> lock(fault_mu_);
-  transient_first_ = first;
-  transient_count_ = count;
-  mutations_ = 0;
-}
-
 void FaultInjectionEnv::ClearFaults() {
   std::lock_guard<std::mutex> lock(fault_mu_);
   crash_at_ = 0;
   mutations_ = 0;
   crashed_ = false;
   error_probability_ = 0;
-  transient_first_ = 0;
-  transient_count_ = 0;
 }
 
 Status FaultInjectionEnv::CheckMutation(bool* torn) {
@@ -241,11 +231,6 @@ Status FaultInjectionEnv::CheckMutation(bool* torn) {
     crashed_.store(true, std::memory_order_relaxed);
     *torn = true;  // The crashing write lands partially.
     return Status::IoError("simulated crash at mutation " +
-                           std::to_string(n));
-  }
-  if (transient_first_ != 0 && n >= transient_first_ &&
-      n < transient_first_ + transient_count_) {
-    return Status::IoError("injected transient IO error at mutation " +
                            std::to_string(n));
   }
   if (error_probability_ > 0 && rng_.Bernoulli(error_probability_)) {

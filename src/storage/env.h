@@ -115,12 +115,6 @@ class FaultInjectionEnv final : public Env {
   void CrashAtMutation(uint64_t n);
   /// Every mutation fails (nothing applied) with probability `p`.
   void SetErrorProbability(double p, uint64_t seed);
-  /// Deterministic transient fault: mutations `first` .. `first + count - 1`
-  /// (1-based from now; resets the counter) fail with IoError, applying
-  /// nothing; everything before and after succeeds. Models an IO blip that
-  /// heals on its own — the retry-with-backoff test case, where the seeded
-  /// probability mode cannot guarantee the fault actually clears.
-  void SetTransientErrorWindow(uint64_t first, uint64_t count);
   /// Clears every fault and the crashed state — the "reboot" before a
   /// reopen.
   void ClearFaults();
@@ -162,8 +156,6 @@ class FaultInjectionEnv final : public Env {
   uint64_t crash_at_ = 0;  // 0 = no crash scheduled.
   std::atomic<bool> crashed_{false};
   double error_probability_ = 0;
-  uint64_t transient_first_ = 0;  // 0 = no window scheduled.
-  uint64_t transient_count_ = 0;
   Rng rng_{0};
 };
 

@@ -29,9 +29,8 @@ namespace pstorm::storage {
 /// Protocol (pull-based, per ship round):
 ///   1. The shipper asks the primary for records after the follower's last
 ///      applied sequence (Db::FetchWalSince). The primary answers with a
-///      byte-identical segment of its log — rotated WAL.imm first, then the
-///      active WAL — or with `need_checkpoint` when a flush already
-///      truncated those records away.
+///      byte-identical segment of its log, or with `need_checkpoint` when a
+///      flush already truncated those records away.
 ///   2. The applier hands the segment to the follower's ApplyReplicated:
 ///      epoch-fenced, contiguity-checked, appended verbatim to the
 ///      follower's WAL, applied to its memtable.

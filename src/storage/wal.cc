@@ -130,17 +130,6 @@ WalSegment SliceWalSegment(const WalSegment& segment,
   return out;
 }
 
-void AppendWalSegment(WalSegment* dst, const WalSegment& src) {
-  const size_t base = dst->raw.size();
-  dst->raw += src.raw;
-  for (const WalRecordRef& ref : src.records) {
-    dst->records.push_back(
-        WalRecordRef{ref.sequence, ref.checksum, base + ref.offset,
-                     ref.size});
-  }
-  dst->truncated_tail |= src.truncated_tail;
-}
-
 Result<WalReplayResult> ReplayWal(const Env& env, const std::string& path,
                                   Memtable* memtable) {
   WalReplayResult result;

@@ -97,9 +97,6 @@ Result<std::vector<WalRecord>> DecodeWalRecords(std::string_view raw);
 /// `from_sequence` (records are sequence-ordered, so this is a suffix).
 WalSegment SliceWalSegment(const WalSegment& segment, uint64_t from_sequence);
 
-/// Appends `src`'s frames (and refs, offset-adjusted) onto `dst`.
-void AppendWalSegment(WalSegment* dst, const WalSegment& src);
-
 /// Appends mutations to the log file at `path` through `env` (which must
 /// outlive the writer).
 class WalWriter {
@@ -120,8 +117,9 @@ class WalWriter {
 
   /// Appends a pre-encoded run of records (each framed by EncodeWalRecord,
   /// concatenated) in a single env append — the group-commit fast path: one
-  /// IO, and thus one fsync on a real filesystem, for a whole batch of
-  /// writers.
+  /// IO for a whole batch of writers. The append is not fsynced: PosixEnv
+  /// writes and flushes to the OS, which survives a process crash but not
+  /// a power loss.
   Status AppendBatch(std::string_view records) {
     return env_->AppendFile(path_, std::string(records));
   }

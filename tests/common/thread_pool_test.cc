@@ -66,13 +66,5 @@ TEST(ThreadPoolTest, AtLeastOneWorkerEvenForZeroRequested) {
   EXPECT_EQ(pool.Submit([] { return 1; }).get(), 1);
 }
 
-TEST(ThreadPoolTest, SharedPoolIsSingletonAndUsable) {
-  ThreadPool* a = ThreadPool::Shared();
-  ThreadPool* b = ThreadPool::Shared();
-  EXPECT_EQ(a, b);
-  EXPECT_GE(a->num_threads(), 1u);
-  EXPECT_EQ(a->Submit([] { return 3; }).get(), 3);
-}
-
 }  // namespace
 }  // namespace pstorm::common

@@ -18,7 +18,7 @@ namespace pstorm::core {
 namespace {
 
 /// Storage-level race: the async tail thread ships and applies while
-/// writer threads push group-commit batches and force WAL rotations under
+/// writer threads push group-commit batches and force WAL truncations under
 /// it. TSan runs this to prove the shipper/applier locking against the
 /// primary's writer and maintenance paths.
 TEST(ReplicationConcurrencyTest, AsyncTailThreadRacesConcurrentWriters) {
@@ -118,7 +118,6 @@ TEST(ReplicationConcurrencyTest, StandbySyncsWhileSubmissionsRace) {
     });
   }
   for (std::thread& t : threads) t.join();
-  ASSERT_TRUE((*system)->store().WaitForIdle().ok());
   done.store(true);
   tailer.join();
   EXPECT_EQ(submit_errors.load(), 0);

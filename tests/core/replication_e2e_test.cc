@@ -47,7 +47,6 @@ TEST_F(ReplicationE2eTest, PromotedStandbyMatchesLikeTheRecoveredPrimary) {
     ASSERT_TRUE((*system)
                     ->SubmitJob(jobs::WordCooccurrencePairs(2), data, {}, 2)
                     .ok());
-    ASSERT_TRUE((*system)->store().WaitForIdle().ok());
 
     // Warm standby tailing the store's table.
     auto replica = hstore::HTableReplica::Open(
@@ -110,7 +109,6 @@ TEST_F(ReplicationE2eTest, ReadOnlyStandbyStoreServesMatchesWithoutWrites) {
     ASSERT_TRUE((*system)
                     ->SubmitJob(jobs::BigramRelativeFrequency(), data, {}, 4)
                     .ok());
-    ASSERT_TRUE((*system)->store().WaitForIdle().ok());
     auto replica = hstore::HTableReplica::Open(
         (*system)->store().table(), &follower_disk_, "/standby");
     ASSERT_TRUE(replica.ok()) << replica.status();

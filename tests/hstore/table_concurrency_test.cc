@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "hstore/table.h"
 #include "storage/env.h"
 
@@ -206,13 +205,11 @@ TEST_F(HTableConcurrencyTest, ScanPinnedBeforeSplitKeepsItsSnapshot) {
 }
 
 TEST_F(HTableConcurrencyTest, SplitsRaceBackgroundMaintenanceAndScans) {
-  // Region Dbs run their flushes/compactions on a shared pool while other
-  // threads write (forcing splits, whose CompactAll quiesces the source
-  // region) and scan. Exercises the table_mu_ → region stripe → Db lock
-  // order against the new maintenance path.
-  common::ThreadPool pool(2);
+  // Writers fill region Dbs, whose writes flush and compact inline, and
+  // force splits (whose CompactAll rewrites the source region) while other
+  // threads scan. Exercises the table_mu_ → region stripe → Db lock order
+  // against the maintenance path.
   HTableOptions options = SplittyOptions();
-  options.db_options.maintenance_pool = &pool;
   options.db_options.l0_compaction_trigger = 3;
   auto table = OpenTable(options);
 
@@ -246,7 +243,6 @@ TEST_F(HTableConcurrencyTest, SplitsRaceBackgroundMaintenanceAndScans) {
   for (std::thread& t : scanners) t.join();
   ASSERT_EQ(errors.load(), 0);
 
-  ASSERT_TRUE(table->WaitForIdle().ok());
   ASSERT_GT(table->num_regions(), 1u);  // The volume forced splits.
   auto rows = table->Scan(ScanSpec{});
   ASSERT_TRUE(rows.ok());

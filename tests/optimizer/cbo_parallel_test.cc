@@ -87,13 +87,13 @@ TEST_F(CboParallelTest, DefaultThreadCountMatchesSingleThreaded) {
   const auto serial = cbo.Optimize(profile, data);
   ASSERT_TRUE(serial.ok()) << serial.status();
 
-  // One search per worker of the shared pool, which is sized to the
-  // hardware concurrency, whatever it is here.
-  common::ThreadPool* pool = common::ThreadPool::Shared();
+  // One search per worker of a pool sized to the hardware concurrency,
+  // whatever it is here.
+  common::ThreadPool pool(std::thread::hardware_concurrency());
   std::vector<std::future<Result<Recommendation>>> futures;
-  for (size_t i = 0; i < pool->num_threads(); ++i) {
+  for (size_t i = 0; i < pool.num_threads(); ++i) {
     futures.push_back(
-        pool->Submit([&]() { return cbo.Optimize(profile, data); }));
+        pool.Submit([&]() { return cbo.Optimize(profile, data); }));
   }
   for (size_t i = 0; i < futures.size(); ++i) {
     ExpectSame(futures[i].get(), *serial, i);

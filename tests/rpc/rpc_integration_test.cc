@@ -8,8 +8,8 @@
 //
 // Fork discipline (sanitizer-safe): all children are forked while the
 // parent is still single-threaded, before the server (reactor + workers)
-// or any Db background thread exists. Children block on a pipe until the
-// parent has started the server and warmed the stores, then get the port.
+// exists. Children block on a pipe until the parent has started the server
+// and warmed the stores, then get the port.
 
 #include <sys/wait.h>
 #include <unistd.h>

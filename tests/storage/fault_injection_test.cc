@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "storage/db.h"
 #include "storage/env.h"
 #include "storage/wal.h"
@@ -204,62 +203,6 @@ TEST(CrashRecoveryTest, EveryMutationBoundarySurvivesReopen) {
   }
 }
 
-/// The same crash-at-every-mutation-boundary harness, with flushes and
-/// compactions running on the background scheduler. The crash can now land
-/// between a maintenance schedule and its table write, between the table
-/// write and the manifest publish, between the publish and the rotated-WAL
-/// delete, or during an obsolete-file delete — each leaves different
-/// debris (orphaned sstables, a stale WAL.imm, both logs at once), and a
-/// reopen must recover every acked key from all of them.
-///
-/// Unlike the inline harness, the mutation interleaving is not identical
-/// across runs (the background task races the writer for the fault
-/// schedule), so the crash point is not asserted to fire: a run where the
-/// schedule lands past the workload's mutations simply finishes clean,
-/// and the reopen check holds either way.
-TEST(CrashRecoveryTest, BackgroundMaintenanceSurvivesCrashAtEveryBoundary) {
-  common::ThreadPool pool(1);
-  DbOptions options = CrashyOptions();
-  options.maintenance_pool = &pool;
-  for (const uint64_t seed : {uint64_t{42}, uint64_t{0xC0FFEE}}) {
-    // Dry run to learn (approximately) how many mutations the workload
-    // crosses, including the background jobs' writes.
-    uint64_t total_mutations = 0;
-    {
-      InMemoryEnv base;
-      FaultInjectionEnv fault(&base);
-      auto db = Db::Open(&fault, "/db", options).value();
-      fault.ClearFaults();  // Count workload mutations only.
-      std::map<std::string, std::string> model;
-      ASSERT_TRUE(RunWorkload(db.get(), seed, &model));
-      ASSERT_TRUE(db->WaitForIdle().ok());
-      total_mutations = fault.mutation_count();
-      ASSERT_GT(total_mutations, 40u);  // Puts plus flush/compaction IO.
-    }
-
-    for (uint64_t crash_at = 1; crash_at <= total_mutations; ++crash_at) {
-      const std::string context = "bg seed=" + std::to_string(seed) +
-                                  " crash_at=" + std::to_string(crash_at);
-      InMemoryEnv base;
-      FaultInjectionEnv fault(&base);
-      std::map<std::string, std::string> model;
-      {
-        auto db = Db::Open(&fault, "/db", options).value();
-        fault.CrashAtMutation(crash_at);
-        (void)RunWorkload(db.get(), seed, &model);
-        // ~Db drains the background task, crashed or not.
-      }
-      // Reboot: faults clear, the surviving bytes are what they are. The
-      // reopen runs inline — recovery must not depend on a pool.
-      fault.ClearFaults();
-      auto reopened = Db::Open(&fault, "/db", CrashyOptions());
-      ASSERT_TRUE(reopened.ok())
-          << context << ": " << reopened.status().ToString();
-      VerifyAckedState(reopened.value().get(), model, context);
-    }
-  }
-}
-
 /// A v2 sstable whose compressed blocks rot on disk must be quarantined at
 /// the next open — surfaced through the PR-2 quarantine counters — never
 /// crash the process or poison reads of the surviving tables.
@@ -348,70 +291,6 @@ TEST(CrashRecoveryTest, AckedKeysSurviveIntermittentIoErrors) {
   }
 }
 
-// ------------------------------------------------- bg retry-with-backoff
-
-/// A transient IO blip during a background flush is retried with backoff
-/// and heals without latching bg_error_ — the writer never notices, and
-/// the retry shows up in the stats and metrics.
-TEST(BackgroundRetryTest, TransientErrorIsRetriedUntilItHeals) {
-  common::ThreadPool pool(1);
-  InMemoryEnv base;
-  FaultInjectionEnv fault(&base);
-  DbOptions options;
-  options.maintenance_pool = &pool;
-  options.bg_retry_backoff_micros = 50;  // Keep the test fast.
-  options.bg_retry_backoff_max_micros = 200;
-  {
-    auto db = Db::Open(&fault, "/db", options).value();
-    fault.ClearFaults();  // Count workload mutations only.
-    ASSERT_TRUE(db->Put("k", "v").ok());  // Mutation 1: the WAL append.
-    // A background flush rotates the WAL on the writer side (mutation 2),
-    // then writes the sstable from the pool (mutation 3+). Fail the bg
-    // job's first two attempts; the third finds the blip healed.
-    fault.SetTransientErrorWindow(3, 2);
-    ASSERT_TRUE(db->Flush().ok());
-    ASSERT_TRUE(db->WaitForIdle().ok()) << "transient error latched";
-    EXPECT_GE(db->stats().bg_retries, 1u);
-    EXPECT_EQ(db->Get("k").value(), "v");
-  }
-  // The healed flush left a clean directory: a plain reopen serves the key.
-  fault.ClearFaults();
-  auto reopened = Db::Open(&fault, "/db", DbOptions());
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ((*reopened)->Get("k").value(), "v");
-}
-
-/// When the fault outlasts the retry budget, the error latches (writers
-/// and WaitForIdle see it; no further bg work runs) — but nothing acked is
-/// lost: the rotated WAL still holds the records and a reopen replays it.
-TEST(BackgroundRetryTest, ExhaustedRetriesLatchAndReopenRecovers) {
-  common::ThreadPool pool(1);
-  InMemoryEnv base;
-  FaultInjectionEnv fault(&base);
-  DbOptions options;
-  options.maintenance_pool = &pool;
-  options.bg_failure_retries = 1;
-  options.bg_retry_backoff_micros = 50;
-  options.bg_retry_backoff_max_micros = 200;
-  {
-    auto db = Db::Open(&fault, "/db", options).value();
-    fault.ClearFaults();
-    ASSERT_TRUE(db->Put("k", "v").ok());
-    fault.SetTransientErrorWindow(3, 1000);  // Never heals in this run.
-    EXPECT_FALSE(db->Flush().ok());
-    EXPECT_FALSE(db->WaitForIdle().ok());
-    EXPECT_GE(db->stats().bg_retries, 1u);
-    // The latched Db still serves reads from memory...
-    EXPECT_EQ(db->Get("k").value(), "v");
-  }
-  // ...and after a reboot the acked record is replayed from the rotated
-  // log the failed flush never got to delete.
-  fault.ClearFaults();
-  auto reopened = Db::Open(&fault, "/db", DbOptions());
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ((*reopened)->Get("k").value(), "v");
-}
-
 // ------------------------------------------------- group-commit crashes
 
 void ExpectContiguousAscending(const WalSegment& segment,
@@ -434,7 +313,7 @@ TEST(CrashRecoveryTest, GroupCommitCrashLeavesContiguousOrderedLogPrefix) {
   constexpr int kThreads = 4;
   constexpr int kPutsPerThread = 15;
   DbOptions options;
-  options.memtable_flush_bytes = 2048;  // Rotations happen within the run.
+  options.memtable_flush_bytes = 2048;  // Flushes happen within the run.
   options.l0_compaction_trigger = 3;
 
   // One thread's slice of the workload: disjoint keys, so the merged model
@@ -490,20 +369,12 @@ TEST(CrashRecoveryTest, GroupCommitCrashLeavesContiguousOrderedLogPrefix) {
     }
     fault.ClearFaults();
 
-    // Invariant 1: both logs are contiguous ascending prefixes, and the
-    // active log never has records after a tear in the rotated one (a
-    // tear kills the process, so nothing can append past it).
-    auto imm = ReadWalSegment(fault, "/db/WAL.imm", 0);
+    // Invariant 1: the one log is a contiguous ascending prefix. A flush
+    // truncates it in place; nothing rotates it aside to WAL.imm.
+    EXPECT_FALSE(fault.FileExists("/db/WAL.imm")) << context;
     auto wal = ReadWalSegment(fault, "/db/WAL", 0);
-    ASSERT_TRUE(imm.ok()) << context;
     ASSERT_TRUE(wal.ok()) << context;
-    ExpectContiguousAscending(*imm, context + " WAL.imm");
     ExpectContiguousAscending(*wal, context + " WAL");
-    if (!imm->empty() && !wal->empty()) {
-      EXPECT_EQ(wal->first_sequence(), imm->last_sequence() + 1) << context;
-      EXPECT_FALSE(imm->truncated_tail)
-          << context << ": records landed after a torn rotated log";
-    }
 
     // Invariant 2: a reopen replays every acked write.
     auto reopened = Db::Open(&fault, "/db", options);
