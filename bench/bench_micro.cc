@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -207,44 +208,39 @@ void BM_DbGetHot(benchmark::State& state) {
 }
 BENCHMARK(BM_DbGetHot);
 
-// An Env whose appends cost what a real fsync costs. The InMemoryEnv
-// appends in nanoseconds, which makes group commit pointless (there is
+// An Env whose log syncs cost what a real fsync costs. The InMemoryEnv
+// syncs in nanoseconds, which makes group commit pointless (there is
 // nothing to amortize); a ~20us sync is the cheap end of real hardware
 // and lets the coalescing show up in records_per_sync and items/s. The
 // sleep burns real time, not cpu time, so the cpu-time perf gate is not
 // measuring the simulated latency.
-class SyncLatencyEnv final : public storage::Env {
+class SyncLatencyEnv final : public storage::EnvWrapper {
  public:
-  explicit SyncLatencyEnv(storage::Env* target) : target_(target) {}
-  Status CreateDir(const std::string& path) override {
-    return target_->CreateDir(path);
-  }
-  bool FileExists(const std::string& path) const override {
-    return target_->FileExists(path);
-  }
-  Status WriteFile(const std::string& path, const std::string& data) override {
-    return target_->WriteFile(path, data);
-  }
-  Status AppendFile(const std::string& path, const std::string& data) override {
-    std::this_thread::sleep_for(std::chrono::microseconds(20));
-    return target_->AppendFile(path, data);
-  }
-  Result<std::string> ReadFile(const std::string& path) const override {
-    return target_->ReadFile(path);
-  }
-  Status DeleteFile(const std::string& path) override {
-    return target_->DeleteFile(path);
-  }
-  Status RenameFile(const std::string& from, const std::string& to) override {
-    return target_->RenameFile(from, to);
-  }
-  Result<std::vector<std::string>> ListDir(
-      const std::string& dir) const override {
-    return target_->ListDir(dir);
+  using storage::EnvWrapper::EnvWrapper;
+  Result<std::unique_ptr<storage::AppendableFile>> NewAppendableFile(
+      const std::string& path) override {
+    PSTORM_ASSIGN_OR_RETURN(std::unique_ptr<storage::AppendableFile> file,
+                            target()->NewAppendableFile(path));
+    return std::unique_ptr<storage::AppendableFile>(
+        new SlowSyncFile(std::move(file)));
   }
 
  private:
-  storage::Env* target_;
+  class SlowSyncFile final : public storage::AppendableFile {
+   public:
+    explicit SlowSyncFile(std::unique_ptr<storage::AppendableFile> file)
+        : file_(std::move(file)) {}
+    Status Append(std::string_view data) override {
+      return file_->Append(data);
+    }
+    Status Sync() override {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      return file_->Sync();
+    }
+
+   private:
+    std::unique_ptr<storage::AppendableFile> file_;
+  };
 };
 
 // Group commit under write contention: eight threads hammer Put against
@@ -677,6 +673,32 @@ void BM_IndexedPut(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_IndexedPut)->Unit(benchmark::kMicrosecond);
+
+// PutProfile with default options on disk, in a fresh directory under the
+// system temp dir: each of a put's four rows is one WAL append plus one
+// fdatasync, so this times the syncs that make an acked put durable. Not
+// gated: its cost is the disk's, not the code's.
+void BM_PosixPutProfile(benchmark::State& state) {
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "pstorm-bm-put-XXXXXX")
+          .string();
+  PSTORM_CHECK(::mkdtemp(dir.data()) != nullptr);
+  storage::PosixEnv env;
+  {
+    auto store = core::ProfileStore::Open(&env, dir).value();
+    tools::SyntheticCorpusOptions corpus_options;
+    corpus_options.num_profiles = 4000000;  // Key space, not preloaded rows.
+    const tools::SyntheticCorpus corpus(corpus_options);
+    size_t i = 0;
+    for (auto _ : state) {
+      const auto p = corpus.Make(i++);
+      PSTORM_CHECK_OK(store->PutProfile(p.job_key, p.profile, p.statics));
+    }
+    state.SetItemsProcessed(state.iterations());
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_PosixPutProfile)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 // Reopening a flushed store of n profiles: the timed Open is the region
 // opens, the bounds load, the profile recount and the match-index rebuild.

@@ -499,6 +499,13 @@ Status ProfileStore::PutProfile(
     PSTORM_RETURN_IF_ERROR(table_->Put(put));
   }
 
+  // The widened bounds are durable before the profile is discoverable:
+  // every row write is synced before it returns, so no crash can leave a
+  // published Dynamic row outside the persisted Meta/bounds. Bulk loaders
+  // opt out and save the bounds once, in Flush() — the rewrite is ~30
+  // columns per put, pure write amplification at corpus-load scale.
+  if (options_.eager_flush) PSTORM_RETURN_IF_ERROR(SaveBounds());
+
   // Publish: the Dynamic row makes the profile discoverable.
   PSTORM_RETURN_IF_ERROR(table_->Put(dynamic_put));
 
@@ -510,15 +517,6 @@ Status ProfileStore::PutProfile(
     IndexPutLocked(job_key, profile);
   }
 
-  // Profiles are precious (a full profiled run each): persist eagerly so a
-  // reopen never loses them to a buffered memtable. Bulk loaders opt out
-  // and Flush() once per batch — which also defers the Meta/bounds row
-  // rewrite (~60 columns per put otherwise, pure write amplification at
-  // corpus-load scale) to that single Flush.
-  if (options_.eager_flush) {
-    PSTORM_RETURN_IF_ERROR(SaveBounds());
-    PSTORM_RETURN_IF_ERROR(table_->Flush());
-  }
   // Second invalidation, now that the rows are written: a reader that was
   // decoding mid-put may have stitched old and new rows together; the
   // epoch bump keeps that hybrid out of the cache.

@@ -74,9 +74,12 @@ struct ProfileStoreOptions {
   /// region Dbs' options, ...).
   hstore::HTableOptions table;
 
-  /// Flush the backing table after every PutProfile (profiles are
-  /// precious: each one costs a full profiled run). Bulk loaders turn
-  /// this off and call Flush() themselves once per batch.
+  /// Persist the widened normalization bounds in every PutProfile, before
+  /// the profile becomes discoverable, so a store reopened after any crash
+  /// normalizes every stored vector inside its bounds. (The name is
+  /// historical: no put flushes the table, since the synced WAL already
+  /// makes an acked put durable.) Bulk loaders turn this off and call
+  /// Flush() themselves once per batch.
   bool eager_flush = true;
 };
 
@@ -113,7 +116,8 @@ class ProfileStore {
   ~ProfileStore();
 
   /// Inserts or replaces the profile of `job_key` and updates the
-  /// normalization bounds.
+  /// normalization bounds. On OK the profile is durable: each of its rows
+  /// is one synced WAL batch.
   Status PutProfile(const std::string& job_key,
                     const profiler::ExecutionProfile& profile,
                     const staticanalysis::StaticFeatures& statics);
@@ -228,8 +232,9 @@ class ProfileStore {
   /// quarantine. On error the index is left as it was.
   Status RebuildMatchIndex();
 
-  /// Persists the normalization bounds and flushes the backing table (for
-  /// bulk loads with eager_flush off, which defer both to this call).
+  /// Persists the normalization bounds and flushes the backing table: the
+  /// end of a bulk load with eager_flush off, whose puts skip the bounds
+  /// row. No put needs it for durability.
   Status Flush() {
     PSTORM_RETURN_IF_ERROR(SaveBounds());
     return table_->Flush();

@@ -37,10 +37,11 @@ class Region {
   storage::Db* db() { return db_.get(); }
   const storage::Db* db() const { return db_.get(); }
 
-  /// The region's write stripe. Multi-cell row mutations hold it for the
-  /// whole batch; readers hold it only while creating their snapshot
-  /// iterator, so a row put is atomic as seen by any Get/Scan.
-  std::mutex& write_mu() const { return write_mu_; }
+  /// The region's write stripe, held by row writers: DeleteRow's
+  /// read-then-delete must not interleave with another write to the
+  /// region. Readers take no stripe: a row's cells commit in one
+  /// storage::Db::Write, which any Get/Scan sees whole or not at all.
+  std::mutex& write_mu() { return write_mu_; }
 
  private:
   Region() = default;
@@ -48,7 +49,7 @@ class Region {
   std::string start_key_;
   uint64_t id_ = 0;
   std::unique_ptr<storage::Db> db_;
-  mutable std::mutex write_mu_;
+  std::mutex write_mu_;
 };
 
 }  // namespace internal
@@ -355,21 +356,21 @@ Status HTable::Put(const PutOp& put) {
         "htable is a read-only replica; writes go to the primary");
   }
   PSTORM_RETURN_IF_ERROR(ValidateKeyParts(put));
+  // The whole row is one batch: one WAL append and one sync, seen by
+  // readers all-or-nothing.
+  const uint64_t timestamp = logical_clock_.fetch_add(1) + 1;
+  storage::WriteBatch batch;
+  for (const Cell& cell : put.cells()) {
+    batch.Put(EncodeCellKey(put.row(), cell.family, cell.qualifier),
+              EncodeCellValue(timestamp, cell.value));
+  }
   bool over_split_threshold = false;
   {
     std::shared_lock<std::shared_mutex> lock(table_mu_);
     internal::Region* region = RegionForLocked(put.row());
-    const uint64_t timestamp = logical_clock_.fetch_add(1) + 1;
     {
-      // Hold the region's write stripe across the whole batch so readers
-      // (who take the stripe only to create their snapshot iterator) see
-      // the row's cells all-or-nothing.
       std::lock_guard<std::mutex> stripe(region->write_mu());
-      for (const Cell& cell : put.cells()) {
-        PSTORM_RETURN_IF_ERROR(region->db()->Put(
-            EncodeCellKey(put.row(), cell.family, cell.qualifier),
-            EncodeCellValue(timestamp, cell.value)));
-      }
+      PSTORM_RETURN_IF_ERROR(region->db()->Write(batch));
     }
     over_split_threshold = region->db()->ApproximateSizeBytes() >=
                            options_.region_split_bytes;
@@ -383,13 +384,12 @@ Result<RowResult> HTable::Get(std::string_view row) const {
   std::unique_ptr<storage::Iterator> it;
   {
     std::shared_lock<std::shared_mutex> lock(table_mu_);
-    const internal::Region* region = RegionForLocked(row);
-    std::lock_guard<std::mutex> stripe(region->write_mu());
     // The prefix is row + separator — exactly the shape the sstables'
     // prefix bloom filters index — so tables without this row are skipped
-    // outright. The StartsWith bound below keeps the scan inside the
-    // range where the pruned merge is coherent.
-    it = region->db()->NewPrefixIterator(prefix);
+    // outright, and only the row's memtable records are copied. The
+    // StartsWith bound below keeps the scan inside the range where the
+    // pruned merge is coherent.
+    it = RegionForLocked(row)->db()->NewPrefixIterator(prefix);
   }
   RowResult result{std::string(row)};
   for (it->Seek(prefix); it->Valid() && StartsWith(it->key(), prefix);
@@ -419,22 +419,20 @@ Status HTable::DeleteRow(std::string_view row) {
   std::shared_lock<std::shared_mutex> lock(table_mu_);
   internal::Region* region = RegionForLocked(row);
   const std::string prefix = std::string(row) + kSep;
-  // The stripe covers collect + delete, so the row disappears atomically
-  // as seen by concurrent snapshot readers.
+  // The stripe covers collect + delete, so no other write to the region
+  // lands in between; the deletes commit as one batch, so the row
+  // disappears atomically as seen by concurrent snapshot readers.
   std::lock_guard<std::mutex> stripe(region->write_mu());
-  std::vector<std::string> keys;
+  storage::WriteBatch batch;
   {
     auto it = region->db()->NewPrefixIterator(prefix);
     for (it->Seek(prefix); it->Valid() && StartsWith(it->key(), prefix);
          it->Next()) {
-      keys.emplace_back(it->key());
+      batch.Delete(it->key());
     }
     PSTORM_RETURN_IF_ERROR(it->status());
   }
-  for (const std::string& key : keys) {
-    PSTORM_RETURN_IF_ERROR(region->db()->Delete(key));
-  }
-  return Status::OK();
+  return region->db()->Write(batch);
 }
 
 storage::DbStats HTable::AggregatedDbStats() const {
@@ -509,6 +507,8 @@ Result<std::vector<RowResult>> HTable::Scan(const ScanSpec& spec,
   // lock shared: a concurrent split (exclusive) can only run entirely
   // before or entirely after this block, so the scan sees an atomic
   // region layout; the iteration below then runs with no locks at all.
+  // Each snapshot copies only the memtable records in [start_row,
+  // stop_row): a cell key sorts below stop_row exactly when its row does.
   struct RegionScan {
     std::unique_ptr<storage::Iterator> it;
   };
@@ -521,8 +521,8 @@ Result<std::vector<RowResult>> HTable::Scan(const ScanSpec& spec,
       if (!spec.stop_row.empty() && region->start_key() >= spec.stop_row) {
         break;
       }
-      std::lock_guard<std::mutex> stripe(region->write_mu());
-      pinned.push_back(RegionScan{region->db()->NewIterator()});
+      pinned.push_back(RegionScan{
+          region->db()->NewIterator(spec.start_row, spec.stop_row)});
     }
   }
 
@@ -655,19 +655,19 @@ Status HTable::MaybeSplit(std::string_view row) {
           storage::JoinPath(root_path_, "region_" + std::to_string(new_id)),
           split_row, new_id, options_.db_options));
 
-  std::vector<std::string> moved_keys;
+  // One batch each way, so the move costs two log syncs, not two per cell.
+  storage::WriteBatch moved;
+  storage::WriteBatch removed;
   {
-    auto it = region->db()->NewIterator();
+    auto it = region->db()->NewIterator(split_row);
     for (it->Seek(split_row); it->Valid(); it->Next()) {
-      PSTORM_RETURN_IF_ERROR(
-          new_region->db()->Put(it->key(), it->value()));
-      moved_keys.emplace_back(it->key());
+      moved.Put(it->key(), it->value());
+      removed.Delete(it->key());
     }
     PSTORM_RETURN_IF_ERROR(it->status());
   }
-  for (const std::string& key : moved_keys) {
-    PSTORM_RETURN_IF_ERROR(region->db()->Delete(key));
-  }
+  PSTORM_RETURN_IF_ERROR(new_region->db()->Write(moved));
+  PSTORM_RETURN_IF_ERROR(region->db()->Write(removed));
   PSTORM_RETURN_IF_ERROR(region->db()->CompactAll());
   PSTORM_RETURN_IF_ERROR(new_region->db()->Flush());
 

@@ -121,15 +121,17 @@ class HTable {
   HTable(const HTable&) = delete;
   HTable& operator=(const HTable&) = delete;
 
-  /// Writes all cells of `put` atomically-per-row: a concurrent Get or
-  /// Scan sees either none or all of them. Fails if a cell names an
-  /// unknown column family, or if any key part contains a NUL byte.
+  /// Writes all cells of `put` as one storage::WriteBatch: one synced WAL
+  /// append, and a concurrent Get or Scan sees either none or all of the
+  /// cells. Fails if a cell names an unknown column family, or if any key
+  /// part contains a NUL byte.
   Status Put(const PutOp& put);
 
   /// All cells of `row`; NotFound when the row does not exist.
   Result<RowResult> Get(std::string_view row) const;
 
-  /// Deletes every cell of `row` (idempotent, atomic-per-row).
+  /// Deletes every cell of `row` as one batch (idempotent,
+  /// atomic-per-row).
   Status DeleteRow(std::string_view row);
 
   /// Rows of [spec.start_row, spec.stop_row) passing the filter, in row

@@ -22,7 +22,8 @@ obs::Counter& WalAppends() {
       obs::MetricsRegistry::Global().GetCounter("pstorm_db_wal_appends_total");
   return c;
 }
-/// Physical log IOs; group commit makes this lag pstorm_db_wal_appends_total.
+/// Log syncs, one per batch; group commit and multi-record batches make
+/// this lag pstorm_db_wal_appends_total.
 obs::Counter& WalSyncs() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("pstorm_db_wal_syncs_total");
@@ -101,6 +102,21 @@ constexpr char kWalName[] = "WAL";
 /// recovery and InstallCheckpoint touch it now.
 constexpr char kWalImmName[] = "WAL.imm";
 constexpr char kQuarantineSuffix[] = ".quarantine";
+
+/// The smallest key above every key that starts with `prefix`; empty (no
+/// bound) when there is none, i.e. when every byte is 0xff.
+std::string PrefixSuccessor(std::string_view prefix) {
+  std::string out(prefix);
+  while (!out.empty()) {
+    const auto last = static_cast<unsigned char>(out.back());
+    if (last != 0xff) {
+      out.back() = static_cast<char>(last + 1);
+      return out;
+    }
+    out.pop_back();
+  }
+  return out;
+}
 
 /// Forwards to a wrapped iterator while pinning the snapshot it reads:
 /// the memtable copy and the Version (and through it every sstable
@@ -257,21 +273,24 @@ Status Db::RemoveOrphans() {
 }
 
 Status Db::Put(std::string_view key, std::string_view value) {
-  if (key.empty()) return Status::InvalidArgument("empty key");
-  return WriteImpl(EntryType::kValue, key, value);
+  WriteBatch batch;
+  batch.Put(key, value);
+  return Write(batch);
 }
 
 Status Db::Delete(std::string_view key) {
-  if (key.empty()) return Status::InvalidArgument("empty key");
-  return WriteImpl(EntryType::kTombstone, key, {});
+  WriteBatch batch;
+  batch.Delete(key);
+  return Write(batch);
 }
 
-Status Db::WriteImpl(EntryType type, std::string_view key,
-                     std::string_view value) {
+Status Db::Write(const WriteBatch& batch) {
+  for (const WriteBatch::Op& op : batch.ops_) {
+    if (op.key.empty()) return Status::InvalidArgument("empty key");
+  }
+  if (batch.ops_.empty()) return Status::OK();
   Writer w;
-  w.type = type;
-  w.key = key;
-  w.value = value;
+  w.batch = &batch;
 
   std::unique_lock<std::mutex> writer_lock(writer_mu_);
   if (replica_.load(std::memory_order_relaxed)) {
@@ -288,28 +307,31 @@ Status Db::WriteImpl(EntryType type, std::string_view key,
   });
   if (w.done) return w.status;  // A leader committed this write for us.
 
-  // Leader. Everything queued right now rides in this batch. Writers
+  // Leader. Every batch queued right now rides in this group. Writers
   // arriving during the WAL IO below queue behind it for the next leader.
-  const size_t batch_size = writers_.size();
-  // The leader stamps commit sequences: base+1 .. base+batch_size, in
-  // queue order. Only the (serialized) leader advances last_sequence_, and
-  // only after the batch is durable — a failed append reuses the range,
-  // which is safe because nothing durable carries those sequences.
+  const size_t group_size = writers_.size();
+  // The leader stamps commit sequences base+1, base+2, ... over the
+  // records of the queued batches in queue order. Only the (serialized)
+  // leader advances last_sequence_, and only once the records are in the
+  // log — an append that never reached the log reuses the range, which is
+  // safe because no record on disk carries those sequences.
   const uint64_t base_sequence =
       last_sequence_.load(std::memory_order_relaxed);
   // Log before memtable: a mutation is acked only once its record has
-  // reached the log and would survive a process crash. The whole batch
-  // goes down in one env append, which is the point of the group commit.
-  WalSegment batch;
-  for (size_t i = 0; i < batch_size; ++i) {
-    const Writer* writer = writers_[i];
-    const uint64_t sequence = base_sequence + 1 + i;
-    const std::string frame =
-        EncodeWalRecord(sequence, writer->type, writer->key, writer->value);
-    batch.records.push_back(WalRecordRef{sequence,
-                                         DecodeFixed32(frame.data() + 4),
-                                         batch.raw.size(), frame.size()});
-    batch.raw += frame;
+  // been appended and synced, so it survives a power loss. The whole
+  // group goes down in one append and one sync, the point of the group
+  // commit.
+  WalSegment group;
+  uint64_t sequence = base_sequence;
+  for (size_t i = 0; i < group_size; ++i) {
+    for (const WriteBatch::Op& op : writers_[i]->batch->ops_) {
+      const std::string frame =
+          EncodeWalRecord(++sequence, op.type, op.key, op.value);
+      group.records.push_back(WalRecordRef{sequence,
+                                           DecodeFixed32(frame.data() + 4),
+                                           group.raw.size(), frame.size()});
+      group.raw += frame;
+    }
   }
   // Copied under the lock; SetCommitListener waits out in-flight batches,
   // so the pointee outlives this call even though the lock drops.
@@ -317,38 +339,46 @@ Status Db::WriteImpl(EntryType type, std::string_view key,
   const uint64_t commit_epoch = epoch_.load(std::memory_order_relaxed);
   batch_in_flight_ = true;
   writer_lock.unlock();
-  Status s = wal_.AppendBatch(batch.raw);
+  bool logged = false;
+  Status s = wal_.AppendBatch(group.raw, &logged);
   Status ship;
-  if (s.ok() && listener != nullptr) {
-    // Sync replication hook. The batch is locally durable either way; a
-    // ship failure is reported to the writers (see CommitListener docs).
-    ship = listener->OnCommit(commit_epoch, batch);
+  if (logged && listener != nullptr) {
+    // Sync replication hook, after the sync. The records are in the local
+    // log either way; a ship failure is reported to the writers (see
+    // CommitListener docs).
+    ship = listener->OnCommit(commit_epoch, group);
   }
   writer_lock.lock();
   batch_in_flight_ = false;
-  if (s.ok()) {
-    stats_.wal_appends += batch_size;
-    ++stats_.wal_syncs;
-    WalAppends().Add(batch_size);
-    WalSyncs().Increment();
+  if (logged) {
+    // The records carry their sequences in the log for good, even when the
+    // sync failed: a reopen may replay them. So they are committed here as
+    // well, and only the writers' status tells of the failure.
+    const uint64_t records = sequence - base_sequence;
+    stats_.wal_appends += records;
+    WalAppends().Add(records);
+    if (s.ok()) {
+      ++stats_.wal_syncs;
+      WalSyncs().Increment();
+    }
     {
       std::unique_lock<std::shared_mutex> state_lock(state_mu_);
-      for (size_t i = 0; i < batch_size; ++i) {
-        const Writer* writer = writers_[i];
-        if (writer->type == EntryType::kValue) {
-          memtable_.Put(writer->key, writer->value);
-        } else {
-          memtable_.Delete(writer->key);
+      for (size_t i = 0; i < group_size; ++i) {
+        for (const WriteBatch::Op& op : writers_[i]->batch->ops_) {
+          if (op.type == EntryType::kValue) {
+            memtable_.Put(op.key, op.value);
+          } else {
+            memtable_.Delete(op.key);
+          }
         }
       }
     }
-    last_sequence_.store(base_sequence + batch_size,
-                         std::memory_order_release);
+    last_sequence_.store(sequence, std::memory_order_release);
     // Locally committed but possibly not replicated: surface the ship
     // error to every writer in the batch.
-    if (!ship.ok()) s = ship;
+    if (s.ok() && !ship.ok()) s = ship;
   }
-  for (size_t i = 0; i < batch_size; ++i) {
+  for (size_t i = 0; i < group_size; ++i) {
     Writer* writer = writers_.front();
     writers_.pop_front();
     if (writer != &w) {
@@ -442,39 +472,39 @@ DbStats Db::stats() const {
   return out;
 }
 
-std::unique_ptr<Iterator> Db::NewIterator() const {
-  std::shared_ptr<const Memtable> memtable;
-  std::shared_ptr<const Version> version;
-  {
-    std::shared_lock<std::shared_mutex> lock(state_mu_);
-    memtable = std::make_shared<const Memtable>(memtable_);
-    version = current_;
-  }
-  // Newest source first: the merging iterator resolves duplicate keys in
-  // child order (memtable shadows tables).
-  std::vector<std::unique_ptr<Iterator>> children;
-  children.push_back(memtable->NewIterator());
-  version->AppendIterators(&children);
-  return std::make_unique<PinnedIterator>(
-      NewLiveRecordIterator(NewMergingIterator(std::move(children))),
-      std::move(memtable), std::move(version));
+std::unique_ptr<Iterator> Db::NewIterator(std::string_view lower,
+                                          std::string_view upper) const {
+  return NewSnapshotIterator(lower, upper, /*prune_by_prefix=*/false);
 }
 
 std::unique_ptr<Iterator> Db::NewPrefixIterator(
     std::string_view prefix) const {
+  return NewSnapshotIterator(prefix, PrefixSuccessor(prefix),
+                             /*prune_by_prefix=*/true);
+}
+
+std::unique_ptr<Iterator> Db::NewSnapshotIterator(std::string_view lower,
+                                                  std::string_view upper,
+                                                  bool prune_by_prefix) const {
   std::shared_ptr<const Memtable> memtable;
   std::shared_ptr<const Version> version;
   {
     std::shared_lock<std::shared_mutex> lock(state_mu_);
-    memtable = std::make_shared<const Memtable>(memtable_);
+    memtable =
+        std::make_shared<const Memtable>(memtable_.CopyRange(lower, upper));
     version = current_;
   }
-  // Same merge as NewIterator, minus every table whose prefix bloom filter
-  // rejects the prefix — the win this iterator exists for. The memtable
+  // Newest source first: the merging iterator resolves duplicate keys in
+  // child order (memtable shadows tables). Prefix pruning drops every
+  // table whose prefix bloom filter rejects the prefix; the memtable
   // always participates (no filter covers it).
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(memtable->NewIterator());
-  version->AppendIteratorsForPrefix(prefix, &children);
+  if (prune_by_prefix) {
+    version->AppendIteratorsForPrefix(lower, &children);
+  } else {
+    version->AppendIterators(&children);
+  }
   return std::make_unique<PinnedIterator>(
       NewLiveRecordIterator(NewMergingIterator(std::move(children))),
       std::move(memtable), std::move(version));
@@ -817,11 +847,12 @@ Status Db::InstallCheckpoint(Env* env, const std::string& path,
   const std::string tmp = JoinPath(path, std::string(kManifestName) + ".tmp");
   PSTORM_RETURN_IF_ERROR(env->WriteFile(tmp, manifest));
   PSTORM_RETURN_IF_ERROR(env->RenameFile(tmp, JoinPath(path, kManifestName)));
-  // The WAL tail lands last: until here a crash leaves the flushed prefix,
-  // and a torn tail append is amputated by replay + consolidation at open.
+  // The WAL tail lands last, written whole and durable (the old log is
+  // gone, so nothing is appended to): until here a crash leaves the
+  // flushed prefix.
   if (!checkpoint.wal_tail.empty()) {
     PSTORM_RETURN_IF_ERROR(
-        env->AppendFile(JoinPath(path, kWalName), checkpoint.wal_tail));
+        env->WriteFile(JoinPath(path, kWalName), checkpoint.wal_tail));
   }
   return Status::OK();
 }
@@ -883,14 +914,20 @@ Status Db::ApplyReplicated(uint64_t primary_epoch, const WalSegment& segment) {
       return Status::InvalidArgument("non-contiguous shipped batch");
     }
   }
-  // Byte-identical append: the replica's log carries the primary's exact
-  // frames (sequences and checksums included), which is what makes
-  // divergence detectable and a promoted replica's log shippable onward.
-  PSTORM_RETURN_IF_ERROR(wal_.AppendBatch(segment.raw));
+  // Byte-identical append and one sync: the replica's log carries the
+  // primary's exact frames (sequences and checksums included), which is
+  // what makes divergence detectable and a promoted replica's log
+  // shippable onward. Records that reached the log are applied even when
+  // the sync failed, as in Write.
+  bool logged = false;
+  const Status s = wal_.AppendBatch(segment.raw, &logged);
+  if (!logged) return s;
   stats_.wal_appends += records.size();
-  ++stats_.wal_syncs;
   WalAppends().Add(records.size());
-  WalSyncs().Increment();
+  if (s.ok()) {
+    ++stats_.wal_syncs;
+    WalSyncs().Increment();
+  }
   {
     std::unique_lock<std::shared_mutex> state_lock(state_mu_);
     for (const WalRecord& record : records) {
@@ -906,6 +943,7 @@ Status Db::ApplyReplicated(uint64_t primary_epoch, const WalSegment& segment) {
   stats_.replicated_records += records.size();
   ReplicatedBatches().Increment();
   ReplicatedRecords().Add(records.size());
+  PSTORM_RETURN_IF_ERROR(s);
   return MaybeFlushLocked();
 }
 

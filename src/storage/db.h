@@ -48,6 +48,28 @@ struct DbOptions {
   bool read_only_replica = false;
 };
 
+/// Mutations committed together (Db::Write): one WAL append and one sync,
+/// applied to the memtable in order under one lock, so readers see all of
+/// them or none. hstore writes each row as one batch.
+class WriteBatch {
+ public:
+  void Put(std::string_view key, std::string_view value) {
+    ops_.push_back(Op{EntryType::kValue, std::string(key), std::string(value)});
+  }
+  void Delete(std::string_view key) {
+    ops_.push_back(Op{EntryType::kTombstone, std::string(key), {}});
+  }
+
+ private:
+  friend class Db;
+  struct Op {
+    EntryType type;
+    std::string key;
+    std::string value;
+  };
+  std::vector<Op> ops_;
+};
+
 /// Counters exposed for observability and the micro-benchmarks.
 struct DbStats {
   uint64_t flushes = 0;
@@ -56,10 +78,10 @@ struct DbStats {
   uint64_t bytes_compacted = 0;
   /// Mutations appended to the write-ahead log.
   uint64_t wal_appends = 0;
-  /// Physical log writes (env appends). Group commit makes this less than
-  /// wal_appends under concurrent writers: one append covers a whole batch.
-  /// No append is fsynced (PosixEnv::AppendFile writes and flushes to the
-  /// OS), so an acked write survives a process crash but not a power loss.
+  /// Log syncs (an fdatasync on PosixEnv): one per group-commit batch and
+  /// per replicated batch, each covering one append. Group commit and
+  /// multi-record batches make this less than wal_appends. A write is
+  /// acked only after its sync, so it survives a power loss.
   uint64_t wal_syncs = 0;
   /// Records recovered from the log by the last Open.
   uint64_t wal_records_replayed = 0;
@@ -105,14 +127,14 @@ struct DbStats {
 ///    memtable and pin the current Version (an immutable, refcounted
 ///    {sstable list} snapshot — see storage/version.h), then search it
 ///    lock-free.
-///  * Writers (`Put`, `Delete`, `Flush`, `CompactAll`) serialize on an
-///    internal writer mutex (WAL append order == memtable order ==
+///  * Writers (`Put`, `Delete`, `Write`, `Flush`, `CompactAll`) serialize
+///    on an internal writer mutex (WAL append order == memtable order ==
 ///    manifest order) and publish memtable edits under a brief exclusive
-///    lock of the state mutex. Concurrent Put/Delete calls group-commit:
-///    each enqueues itself, the front writer becomes the leader, drains
-///    the queue into one WAL append (releasing the writer mutex for the
-///    IO), applies the batch to the memtable in queue order, and wakes the
-///    followers with their status.
+///    lock of the state mutex. Concurrent Put/Delete/Write calls
+///    group-commit: each enqueues itself, the front writer becomes the
+///    leader, drains the queue into one WAL append and one sync (releasing
+///    the writer mutex for the IO), applies the batches to the memtable in
+///    queue order, and wakes the followers with their status.
 ///  * Flushes and compactions run inline under the writer mutex: on the
 ///    leader whose batch fills the memtable, or in an explicit Flush /
 ///    CompactAll. So flush, compaction and manifest writes never race each
@@ -148,14 +170,14 @@ class Db {
   /// Observes every committed write batch, synchronously, from the
   /// committing (group-commit leader) thread — the hook sync replication
   /// uses to ship a batch before the writer is acked. Called once the
-  /// batch is durable in the local WAL, with writer_mu_ *released* but the
-  /// batch still logically in flight (it is applied to the memtable and
-  /// last_sequence advanced right after, regardless of the listener's
-  /// verdict): the callback must not call back into this Db's write or
-  /// maintenance API (Put, Flush, FetchWalSince, ...) or it deadlocks. A
-  /// non-OK return is propagated to every writer in the batch — the
-  /// records remain locally durable; see DESIGN.md §11 on this ambiguity
-  /// window.
+  /// batch is appended to the local WAL and the sync has returned, with
+  /// writer_mu_ *released* but the batch still logically in flight (it is
+  /// applied to the memtable and last_sequence advanced right after,
+  /// regardless of the listener's verdict): the callback must not call
+  /// back into this Db's write or maintenance API (Put, Flush,
+  /// FetchWalSince, ...) or it deadlocks. A non-OK return is propagated to
+  /// every writer in the batch — the records remain in the local log; see
+  /// DESIGN.md §11 on this ambiguity window.
   class CommitListener {
    public:
     virtual ~CommitListener() = default;
@@ -179,26 +201,34 @@ class Db {
 
   Status Put(std::string_view key, std::string_view value);
   Status Delete(std::string_view key);
+  /// Commits every mutation of `batch`, in order, with one WAL append and
+  /// one sync. InvalidArgument, writing nothing, when a key is empty. An
+  /// error after the append reached the log (the sync failed, or the
+  /// commit listener did) still applies the batch: a reopen could replay
+  /// it, so the live Db shows it too.
+  Status Write(const WriteBatch& batch);
 
   /// NotFound if the key is absent or deleted. Safe to call concurrently
   /// with writers; observes a point-in-time snapshot.
   Result<std::string> Get(std::string_view key) const;
 
-  /// Iterates live records (no tombstones) over the whole database in key
-  /// order. The iterator observes a point-in-time snapshot: writes,
-  /// flushes, and compactions that happen after creation are invisible to
-  /// it, and it stays valid across them (it pins the tables it reads).
-  /// It must not outlive the Db. Creation copies the current memtable,
-  /// whose payload is bounded by DbOptions::memtable_flush_bytes.
-  std::unique_ptr<Iterator> NewIterator() const;
+  /// Iterates live records (no tombstones) in key order. The iterator
+  /// observes a point-in-time snapshot: writes, flushes, and compactions
+  /// that happen after creation are invisible to it, and it stays valid
+  /// across them (it pins the tables it reads). It must not outlive the
+  /// Db. Creation copies the memtable's records in [lower, upper) (an
+  /// empty `upper` means no upper bound; the defaults copy it all, at most
+  /// DbOptions::memtable_flush_bytes of payload). The sstables are not
+  /// cut to the range, so the iterator is only coherent *within* it:
+  /// callers must not seek below `lower` nor read at or past `upper`,
+  /// where a table's stale record could show through.
+  std::unique_ptr<Iterator> NewIterator(std::string_view lower = {},
+                                        std::string_view upper = {}) const;
 
-  /// Like NewIterator, but for scans over keys starting with `prefix`:
-  /// sstables whose prefix bloom filter proves they hold no such key are
-  /// skipped entirely. The remaining sources still merge in full key
-  /// order, so the iterator is only coherent *within* the prefix range —
-  /// callers must stop consuming once keys no longer start with `prefix`
-  /// (as hstore's row scans do); entries beyond it may be stale or
-  /// missing because a skipped table could have shadowed them.
+  /// Like NewIterator over the keys starting with `prefix`, and sstables
+  /// whose prefix bloom filter proves they hold no such key are skipped
+  /// entirely. Callers must stop consuming once keys no longer start with
+  /// `prefix` (as hstore's row scans do).
   std::unique_ptr<Iterator> NewPrefixIterator(std::string_view prefix) const;
 
   /// Persists the memtable as a level-0 table (no-op when empty), then
@@ -297,23 +327,21 @@ class Db {
 
   Db(Env* env, std::string path, DbOptions options);
 
-  /// One queued mutation in the group-commit protocol. Lives on its
-  /// writer's stack; the string_views stay valid because that thread
-  /// blocks until `done`.
+  /// One queued batch in the group-commit protocol. Lives on its writer's
+  /// stack; `batch` stays valid because that thread blocks until `done`.
   struct Writer {
-    EntryType type;
-    std::string_view key;
-    std::string_view value;
+    const WriteBatch* batch = nullptr;
     Status status;
     bool done = false;
   };
 
-  /// The group-commit write path shared by Put and Delete: enqueue, wait
-  /// to become leader (or for a leader to finish the write), batch every
-  /// queued mutation into one WAL append, apply to the memtable in queue
-  /// order.
-  Status WriteImpl(EntryType type, std::string_view key,
-                   std::string_view value);
+  /// The snapshot behind both public iterators: a copy of the memtable's
+  /// [lower, upper) records merged with the pinned current Version, whose
+  /// tables are pruned by prefix bloom when `prune_by_prefix` is set
+  /// (`lower` is then the prefix).
+  std::unique_ptr<Iterator> NewSnapshotIterator(std::string_view lower,
+                                                std::string_view upper,
+                                                bool prune_by_prefix) const;
 
   /// Acquires writer_mu_ for Flush/CompactAll, waiting out any batch whose
   /// WAL append is in flight with the mutex released — the memtable and
@@ -367,9 +395,9 @@ class Db {
   std::mutex writer_mu_;
   /// Group-commit state, guarded by writer_mu_. The front writer is the
   /// leader; batch_in_flight_ is true while it has writer_mu_ released for
-  /// the batch WAL append — Flush/CompactAll must wait it out before
-  /// touching the memtable or truncating the log, or an acked-but-unapplied
-  /// batch could be lost.
+  /// the batch's WAL append, sync and commit listener — Flush/CompactAll
+  /// must wait it out before touching the memtable or truncating the log,
+  /// or an acked-but-unapplied batch could be lost.
   std::deque<Writer*> writers_;
   std::condition_variable writers_cv_;
   bool batch_in_flight_ = false;

@@ -22,6 +22,24 @@ std::string JoinPath(const std::string& dir, const std::string& name) {
 
 // ---------------------------------------------------------------- InMemory
 
+/// Appends to the contents the path held when the handle was opened.
+class InMemoryEnv::AppendHandle final : public AppendableFile {
+ public:
+  AppendHandle(std::mutex* mu, std::shared_ptr<std::string> contents)
+      : mu_(mu), contents_(std::move(contents)) {}
+
+  Status Append(std::string_view data) override {
+    std::lock_guard<std::mutex> lock(*mu_);
+    contents_->append(data);
+    return Status::OK();
+  }
+  Status Sync() override { return Status::OK(); }
+
+ private:
+  std::mutex* mu_;
+  std::shared_ptr<std::string> contents_;
+};
+
 Status InMemoryEnv::CreateDir(const std::string&) { return Status::OK(); }
 
 bool InMemoryEnv::FileExists(const std::string& path) const {
@@ -32,22 +50,23 @@ bool InMemoryEnv::FileExists(const std::string& path) const {
 Status InMemoryEnv::WriteFile(const std::string& path,
                               const std::string& data) {
   std::lock_guard<std::mutex> lock(mu_);
-  files_[path] = data;
+  files_[path] = std::make_shared<std::string>(data);
   return Status::OK();
 }
 
-Status InMemoryEnv::AppendFile(const std::string& path,
-                               const std::string& data) {
+Result<std::unique_ptr<AppendableFile>> InMemoryEnv::NewAppendableFile(
+    const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
-  files_[path] += data;
-  return Status::OK();
+  std::shared_ptr<std::string>& contents = files_[path];
+  if (contents == nullptr) contents = std::make_shared<std::string>();
+  return std::unique_ptr<AppendableFile>(new AppendHandle(&mu_, contents));
 }
 
 Result<std::string> InMemoryEnv::ReadFile(const std::string& path) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) return Status::NotFound("no such file: " + path);
-  return it->second;
+  return *it->second;
 }
 
 Status InMemoryEnv::DeleteFile(const std::string& path) {
@@ -63,8 +82,9 @@ Status InMemoryEnv::RenameFile(const std::string& from,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(from);
   if (it == files_.end()) return Status::NotFound("no such file: " + from);
-  files_[to] = std::move(it->second);
+  std::shared_ptr<std::string> contents = std::move(it->second);
   files_.erase(it);
+  files_[to] = std::move(contents);
   return Status::OK();
 }
 
@@ -97,11 +117,58 @@ bool PosixEnv::FileExists(const std::string& path) const {
   return std::filesystem::exists(path, ec);
 }
 
+namespace {
+
+/// fsync (or fdatasync, which skips metadata such as mtime), retried on
+/// EINTR.
+Status SyncFd(int fd, bool data_only, const std::string& name,
+              const internal::FdOps& ops = {}) {
+  const auto sync = [&] {
+    if (ops.fsync_fn) return ops.fsync_fn(fd);
+    return data_only ? ::fdatasync(fd) : ::fsync(fd);
+  };
+  int rc = sync();
+  while (rc != 0 && errno == EINTR) rc = sync();
+  if (rc != 0) {
+    return Status::IoError((data_only ? "fdatasync: " : "fsync: ") + name);
+  }
+  return Status::OK();
+}
+
+/// Makes the directory entries of `path`'s parent durable: a created or
+/// renamed file's name survives a power loss only once this returns.
+Status SyncParentDir(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("open directory: " + dir);
+  const Status s = SyncFd(fd, /*data_only=*/false, dir);
+  ::close(fd);
+  return s;
+}
+
+class PosixAppendableFile final : public AppendableFile {
+ public:
+  PosixAppendableFile(std::string path, int fd)
+      : path_(std::move(path)), fd_(fd) {}
+  ~PosixAppendableFile() override { ::close(fd_); }
+
+  Status Append(std::string_view data) override {
+    return internal::WriteFd(fd_, data, path_);
+  }
+  Status Sync() override { return SyncFd(fd_, /*data_only=*/true, path_); }
+
+ private:
+  std::string path_;
+  int fd_;
+};
+
+}  // namespace
+
 namespace internal {
 
-Status WriteSyncCloseFd(int fd, std::string_view data, const std::string& name,
-                        const FdOps& ops) {
-  Status status;
+Status WriteFd(int fd, std::string_view data, const std::string& name,
+               const FdOps& ops) {
   const char* p = data.data();
   size_t left = data.size();
   while (left > 0) {
@@ -111,8 +178,7 @@ Status WriteSyncCloseFd(int fd, std::string_view data, const std::string& name,
       // A signal landing mid-write interrupts the syscall without writing
       // anything; that is a retry, never an IoError.
       if (errno == EINTR) continue;
-      status = Status::IoError("write: " + name);
-      break;
+      return Status::IoError("write: " + name);
     }
     // n == 0 on a regular file would loop forever; treat it as the short
     // write it is and retry — POSIX only returns 0 for count == 0, which
@@ -120,13 +186,13 @@ Status WriteSyncCloseFd(int fd, std::string_view data, const std::string& name,
     p += n;
     left -= static_cast<size_t>(n);
   }
-  if (status.ok()) {
-    int rc = ops.fsync_fn ? ops.fsync_fn(fd) : ::fsync(fd);
-    while (rc != 0 && errno == EINTR) {
-      rc = ops.fsync_fn ? ops.fsync_fn(fd) : ::fsync(fd);
-    }
-    if (rc != 0) status = Status::IoError("fsync: " + name);
-  }
+  return Status::OK();
+}
+
+Status WriteSyncCloseFd(int fd, std::string_view data, const std::string& name,
+                        const FdOps& ops) {
+  Status status = WriteFd(fd, data, name, ops);
+  if (status.ok()) status = SyncFd(fd, /*data_only=*/false, name, ops);
   // Exactly one close on every path. POSIX leaves the fd state unspecified
   // after EINTR from close, so it is not retried (a retry could close an
   // unrelated fd another thread just opened with the same number).
@@ -144,19 +210,28 @@ Status PosixEnv::WriteFile(const std::string& path, const std::string& data) {
   // sibling temp file, fsync them, then rename over the target so a crash
   // never exposes a half-written file.
   const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return Status::IoError("open for write: " + tmp);
   PSTORM_RETURN_IF_ERROR(internal::WriteSyncCloseFd(fd, data, tmp));
   return RenameFile(tmp, path);
 }
 
-Status PosixEnv::AppendFile(const std::string& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out) return Status::IoError("open for append: " + path);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  out.flush();
-  if (!out) return Status::IoError("append: " + path);
-  return Status::OK();
+Result<std::unique_ptr<AppendableFile>> PosixEnv::NewAppendableFile(
+    const std::string& path) {
+  int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd < 0 && errno == ENOENT) {
+    fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
+                0644);
+    if (fd >= 0) {
+      if (Status s = SyncParentDir(path); !s.ok()) {
+        ::close(fd);
+        return s;
+      }
+    }
+  }
+  if (fd < 0) return Status::IoError("open for append: " + path);
+  return std::unique_ptr<AppendableFile>(new PosixAppendableFile(path, fd));
 }
 
 Result<std::string> PosixEnv::ReadFile(const std::string& path) const {
@@ -182,6 +257,11 @@ Status PosixEnv::RenameFile(const std::string& from, const std::string& to) {
   std::filesystem::rename(from, to, ec);
   if (ec) return Status::IoError("rename " + from + " -> " + to + ": " +
                                  ec.message());
+  PSTORM_RETURN_IF_ERROR(SyncParentDir(to));
+  if (std::filesystem::path(from).parent_path() !=
+      std::filesystem::path(to).parent_path()) {
+    return SyncParentDir(from);
+  }
   return Status::OK();
 }
 
@@ -198,6 +278,42 @@ Result<std::vector<std::string>> PosixEnv::ListDir(
 }
 
 // --------------------------------------------------------- FaultInjection
+
+/// Runs each Append and Sync through the fault schedule and tracks the
+/// bytes a power loss would take.
+class FaultInjectionEnv::AppendHandle final : public AppendableFile {
+ public:
+  AppendHandle(FaultInjectionEnv* env, std::string path,
+               std::unique_ptr<AppendableFile> file)
+      : env_(env), path_(std::move(path)), file_(std::move(file)) {}
+
+  Status Append(std::string_view data) override {
+    bool torn;
+    Status fault = env_->CheckMutation(&torn);
+    // A torn append lands the first half of the bytes.
+    if (!fault.ok() && torn) data = data.substr(0, data.size() / 2);
+    if (fault.ok() || torn) {
+      const Status s = file_->Append(data);
+      if (s.ok()) env_->AddUnsynced(path_, data.size());
+      if (fault.ok()) fault = s;
+    }
+    return fault;
+  }
+
+  Status Sync() override {
+    bool torn;
+    PSTORM_RETURN_IF_ERROR(env_->CheckMutation(&torn));
+    PSTORM_RETURN_IF_ERROR(file_->Sync());
+    std::lock_guard<std::mutex> lock(env_->fault_mu_);
+    env_->unsynced_.erase(path_);
+    return Status::OK();
+  }
+
+ private:
+  FaultInjectionEnv* env_;
+  std::string path_;
+  std::unique_ptr<AppendableFile> file_;  // The target env's handle.
+};
 
 void FaultInjectionEnv::CrashAtMutation(uint64_t n) {
   std::lock_guard<std::mutex> lock(fault_mu_);
@@ -218,6 +334,22 @@ void FaultInjectionEnv::ClearFaults() {
   mutations_ = 0;
   crashed_ = false;
   error_probability_ = 0;
+}
+
+void FaultInjectionEnv::DropUnsyncedData() {
+  std::lock_guard<std::mutex> lock(fault_mu_);
+  for (const auto& [path, bytes] : unsynced_) {
+    Result<std::string> data = target()->ReadFile(path);
+    if (!data.ok()) continue;
+    data->resize(data->size() - std::min(bytes, data->size()));
+    (void)target()->WriteFile(path, data.value());
+  }
+  unsynced_.clear();
+}
+
+void FaultInjectionEnv::AddUnsynced(const std::string& path, size_t bytes) {
+  std::lock_guard<std::mutex> lock(fault_mu_);
+  unsynced_[path] += bytes;
 }
 
 Status FaultInjectionEnv::CheckMutation(bool* torn) {
@@ -241,70 +373,63 @@ Status FaultInjectionEnv::CheckMutation(bool* torn) {
 }
 
 Status FaultInjectionEnv::FlipByte(const std::string& path, size_t offset) {
-  PSTORM_ASSIGN_OR_RETURN(std::string data, target_->ReadFile(path));
+  PSTORM_ASSIGN_OR_RETURN(std::string data, target()->ReadFile(path));
   if (offset >= data.size()) {
     return Status::InvalidArgument("flip offset past end of " + path);
   }
   data[offset] = static_cast<char>(data[offset] ^ 0xff);
-  return target_->WriteFile(path, data);
-}
-
-Status FaultInjectionEnv::CreateDir(const std::string& path) {
-  // Directory creation is metadata-only in both backing envs; not part of
-  // the mutation schedule.
-  return target_->CreateDir(path);
-}
-
-bool FaultInjectionEnv::FileExists(const std::string& path) const {
-  return target_->FileExists(path);
+  return target()->WriteFile(path, data);
 }
 
 Status FaultInjectionEnv::WriteFile(const std::string& path,
                                     const std::string& data) {
   bool torn;
   const Status fault = CheckMutation(&torn);
-  if (fault.ok()) return target_->WriteFile(path, data);
+  if (fault.ok()) {
+    PSTORM_RETURN_IF_ERROR(target()->WriteFile(path, data));
+    std::lock_guard<std::mutex> lock(fault_mu_);
+    unsynced_.erase(path);  // The new contents are durable by contract.
+    return Status::OK();
+  }
   if (torn) {
     // Model the PosixEnv staging sequence: the crash hit before the rename,
     // so the target keeps its old contents and half the bytes sit in a torn
     // staging file for the next open's orphan sweep to find.
-    (void)target_->WriteFile(path + ".tmp", data.substr(0, data.size() / 2));
+    (void)target()->WriteFile(path + ".tmp", data.substr(0, data.size() / 2));
   }
   return fault;
 }
 
-Status FaultInjectionEnv::AppendFile(const std::string& path,
-                                     const std::string& data) {
-  bool torn;
-  const Status fault = CheckMutation(&torn);
-  if (fault.ok()) return target_->AppendFile(path, data);
-  if (torn) {
-    (void)target_->AppendFile(path, data.substr(0, data.size() / 2));
-  }
-  return fault;
-}
-
-Result<std::string> FaultInjectionEnv::ReadFile(
-    const std::string& path) const {
-  return target_->ReadFile(path);
+Result<std::unique_ptr<AppendableFile>> FaultInjectionEnv::NewAppendableFile(
+    const std::string& path) {
+  if (crashed()) return Status::IoError("simulated crash: process is down");
+  PSTORM_ASSIGN_OR_RETURN(std::unique_ptr<AppendableFile> file,
+                          target()->NewAppendableFile(path));
+  return std::unique_ptr<AppendableFile>(
+      new AppendHandle(this, path, std::move(file)));
 }
 
 Status FaultInjectionEnv::DeleteFile(const std::string& path) {
   bool torn;
   PSTORM_RETURN_IF_ERROR(CheckMutation(&torn));
-  return target_->DeleteFile(path);
+  PSTORM_RETURN_IF_ERROR(target()->DeleteFile(path));
+  std::lock_guard<std::mutex> lock(fault_mu_);
+  unsynced_.erase(path);
+  return Status::OK();
 }
 
 Status FaultInjectionEnv::RenameFile(const std::string& from,
                                      const std::string& to) {
   bool torn;
   PSTORM_RETURN_IF_ERROR(CheckMutation(&torn));
-  return target_->RenameFile(from, to);
-}
-
-Result<std::vector<std::string>> FaultInjectionEnv::ListDir(
-    const std::string& dir) const {
-  return target_->ListDir(dir);
+  PSTORM_RETURN_IF_ERROR(target()->RenameFile(from, to));
+  std::lock_guard<std::mutex> lock(fault_mu_);
+  unsynced_.erase(to);
+  if (auto it = unsynced_.find(from); it != unsynced_.end()) {
+    unsynced_[to] = it->second;
+    unsynced_.erase(it);
+  }
+  return Status::OK();
 }
 
 }  // namespace pstorm::storage

@@ -34,6 +34,18 @@ std::optional<Memtable::Entry> Memtable::Get(std::string_view key) const {
   return it->second;
 }
 
+Memtable Memtable::CopyRange(std::string_view lower,
+                            std::string_view upper) const {
+  Memtable out;
+  if (!upper.empty() && upper <= lower) return out;
+  const auto end = upper.empty() ? entries_.end() : entries_.lower_bound(upper);
+  for (auto it = entries_.lower_bound(lower); it != end; ++it) {
+    out.entries_.emplace_hint(out.entries_.end(), *it);
+    out.bytes_ += it->first.size() + it->second.value.size();
+  }
+  return out;
+}
+
 namespace {
 
 class MemtableIterator final : public Iterator {

@@ -26,6 +26,10 @@ class Memtable {
   /// memtable has no opinion (the caller then consults older sources).
   std::optional<Entry> Get(std::string_view key) const;
 
+  /// A copy holding only the records with keys in [lower, upper); an empty
+  /// `upper` means no upper bound. What a bounded iterator snapshots.
+  Memtable CopyRange(std::string_view lower, std::string_view upper) const;
+
   /// Iterates records in key order, tombstones included. The iterator must
   /// not outlive the memtable and observes a frozen snapshot only if the
   /// memtable is no longer written to (the DB guarantees this for flushes).

@@ -165,7 +165,7 @@ Result<Db::ShipBatch> WalShipper::FetchWithRetries(uint64_t from_sequence) {
       // else — fencing, corruption — is a decision for the caller.
       return batch;
     }
-    ++retries_;
+    retries_.fetch_add(1, std::memory_order_relaxed);
     ShipRetries().Increment();
     const uint64_t sleep_micros = NextBackoff(
         &backoff, options_.retry_backoff_max_micros, &rng_);
@@ -183,7 +183,7 @@ Result<Db::ShipBatch> WalShipper::FetchWithRetries(uint64_t from_sequence) {
 }
 
 Result<WalShipper::ShipOutcome> WalShipper::ShipOnce() {
-  ++ship_rounds_;
+  ship_rounds_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t from_sequence = applier_->applied_sequence() + 1;
   PSTORM_ASSIGN_OR_RETURN(Db::ShipBatch batch,
                           FetchWithRetries(from_sequence));
@@ -205,9 +205,10 @@ Result<WalShipper::ShipOutcome> WalShipper::ShipOnce() {
   // epoch (heartbeat fencing keeps an idle follower's fence fresh).
   PSTORM_RETURN_IF_ERROR(applier_->Apply(batch.epoch, segment));
   if (!segment.empty()) {
-    ++shipped_batches_;
-    shipped_records_ += segment.records.size();
-    shipped_bytes_ += segment.raw.size();
+    shipped_batches_.fetch_add(1, std::memory_order_relaxed);
+    shipped_records_.fetch_add(segment.records.size(),
+                               std::memory_order_relaxed);
+    shipped_bytes_.fetch_add(segment.raw.size(), std::memory_order_relaxed);
     ShippedBatches().Increment();
     ShippedRecords().Add(segment.records.size());
     ShippedBytes().Add(segment.raw.size());

@@ -211,11 +211,21 @@ class WalShipper {
   /// required (reported via the outcome, not an error).
   Result<ShipOutcome> CatchUp();
 
-  uint64_t ship_rounds() const { return ship_rounds_; }
-  uint64_t shipped_batches() const { return shipped_batches_; }
-  uint64_t shipped_records() const { return shipped_records_; }
-  uint64_t shipped_bytes() const { return shipped_bytes_; }
-  uint64_t retries() const { return retries_; }
+  /// The counters are written by the shipping thread and may be read from
+  /// any other.
+  uint64_t ship_rounds() const {
+    return ship_rounds_.load(std::memory_order_relaxed);
+  }
+  uint64_t shipped_batches() const {
+    return shipped_batches_.load(std::memory_order_relaxed);
+  }
+  uint64_t shipped_records() const {
+    return shipped_records_.load(std::memory_order_relaxed);
+  }
+  uint64_t shipped_bytes() const {
+    return shipped_bytes_.load(std::memory_order_relaxed);
+  }
+  uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
 
  private:
   /// FetchWalSince with the retry/backoff schedule applied to IoErrors.
@@ -229,11 +239,11 @@ class WalShipper {
   /// The latch backoffs wait on: external when supplied, else &own_stop_.
   StopLatch* stop_;
   Rng rng_;
-  uint64_t ship_rounds_ = 0;
-  uint64_t shipped_batches_ = 0;
-  uint64_t shipped_records_ = 0;
-  uint64_t shipped_bytes_ = 0;
-  uint64_t retries_ = 0;
+  std::atomic<uint64_t> ship_rounds_{0};
+  std::atomic<uint64_t> shipped_batches_{0};
+  std::atomic<uint64_t> shipped_records_{0};
+  std::atomic<uint64_t> shipped_bytes_{0};
+  std::atomic<uint64_t> retries_{0};
 };
 
 /// Owns one warm-standby follower: the follower Db, its applier/shipper

@@ -18,10 +18,12 @@ TableHandle::~TableHandle() {
 
 Result<std::optional<Table::GetResult>> Version::Get(
     std::string_view key) const {
+  // Each table's answer is returned as it came, error or hit, so no record
+  // is copied out of its Result on the way.
   // Level 0, newest first.
   for (const auto& handle : l0) {
-    PSTORM_ASSIGN_OR_RETURN(auto hit, handle->table().Get(key));
-    if (hit.has_value()) return hit;
+    Result<std::optional<Table::GetResult>> hit = handle->table().Get(key);
+    if (!hit.ok() || hit.value().has_value()) return hit;
   }
   // Level 1: tables are key-disjoint and sorted; binary search the ranges.
   auto it = std::lower_bound(
@@ -30,8 +32,7 @@ Result<std::optional<Table::GetResult>> Version::Get(
         return handle->table().largest_key() < k;
       });
   if (it != l1.end() && key >= (*it)->table().smallest_key()) {
-    PSTORM_ASSIGN_OR_RETURN(auto hit, (*it)->table().Get(key));
-    if (hit.has_value()) return hit;
+    return (*it)->table().Get(key);
   }
   return std::optional<Table::GetResult>();
 }

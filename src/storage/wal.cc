@@ -75,8 +75,23 @@ std::string EncodeWalRecord(uint64_t sequence, EntryType type,
 
 Status WalWriter::Append(EntryType type, std::string_view key,
                          std::string_view value) {
-  return env_->AppendFile(
-      path_, EncodeWalRecord(next_sequence_++, type, key, value));
+  return AppendBatch(EncodeWalRecord(next_sequence_++, type, key, value));
+}
+
+Status WalWriter::AppendBatch(std::string_view records, bool* appended) {
+  if (appended != nullptr) *appended = false;
+  if (file_ == nullptr) {
+    PSTORM_ASSIGN_OR_RETURN(file_, env_->NewAppendableFile(path_));
+  }
+  PSTORM_RETURN_IF_ERROR(file_->Append(records));
+  if (appended != nullptr) *appended = true;
+  return file_->Sync();
+}
+
+Status WalWriter::Truncate() {
+  // WriteFile replaces the file, so the handle must go with it.
+  file_.reset();
+  return env_->WriteFile(path_, "");
 }
 
 Result<WalSegment> ReadWalSegment(const Env& env, const std::string& path,

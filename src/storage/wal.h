@@ -2,6 +2,7 @@
 #define PSTORM_STORAGE_WAL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,13 +16,13 @@
 namespace pstorm::storage {
 
 /// Write-ahead log for the Db's memtable (the durability HBase region
-/// servers get from their WAL, thesis §5.1). Every Put/Delete is appended
-/// here before it touches the memtable, so an acked mutation survives a
-/// process kill; the log is truncated once a flush has made its contents
-/// durable in an sstable. The same framed records are the unit of
-/// WAL-shipping replication (storage/replication.h): a follower applies
-/// byte-identical frames, so primary and replica logs stay comparable
-/// record-for-record.
+/// servers get from their WAL, thesis §5.1). Every write batch is appended
+/// and synced here before it touches the memtable, so an acked mutation
+/// survives a process kill and a power loss; the log is truncated once a
+/// flush has made its contents durable in an sstable. The same framed
+/// records are the unit of WAL-shipping replication
+/// (storage/replication.h): a follower applies byte-identical frames, so
+/// primary and replica logs stay comparable record-for-record.
 ///
 /// On-log record framing (all little-endian, via common/coding):
 ///
@@ -98,15 +99,18 @@ Result<std::vector<WalRecord>> DecodeWalRecords(std::string_view raw);
 WalSegment SliceWalSegment(const WalSegment& segment, uint64_t from_sequence);
 
 /// Appends mutations to the log file at `path` through `env` (which must
-/// outlive the writer).
+/// outlive the writer). Holds one append handle on the file, opened at the
+/// first append and dropped by Truncate, which replaces the file: a handle
+/// kept across that would append to the replaced file. Nothing else may
+/// replace the file once the writer has appended to it.
 class WalWriter {
  public:
   WalWriter(Env* env, std::string path)
       : env_(env), path_(std::move(path)) {}
 
   /// Convenience single-record appends (tests, benchmarks): each record is
-  /// stamped with the writer's own next sequence number. The Db assigns
-  /// sequences itself and goes through AppendBatch instead.
+  /// stamped with the writer's own next sequence number and synced. The Db
+  /// assigns sequences itself and goes through AppendBatch instead.
   Status AppendPut(std::string_view key, std::string_view value) {
     return Append(EntryType::kValue, key, value);
   }
@@ -116,16 +120,15 @@ class WalWriter {
   void set_next_sequence(uint64_t sequence) { next_sequence_ = sequence; }
 
   /// Appends a pre-encoded run of records (each framed by EncodeWalRecord,
-  /// concatenated) in a single env append — the group-commit fast path: one
-  /// IO for a whole batch of writers. The append is not fsynced: PosixEnv
-  /// writes and flushes to the OS, which survives a process crash but not
-  /// a power loss.
-  Status AppendBatch(std::string_view records) {
-    return env_->AppendFile(path_, std::string(records));
-  }
+  /// concatenated) in one append, then syncs the log once: the group-commit
+  /// path, one IO and one fdatasync for a whole batch of writers. An OK
+  /// return means the records survive a power loss. `appended` (optional)
+  /// reports whether the records reached the file; they did when only the
+  /// sync failed, and then a later open may replay them.
+  Status AppendBatch(std::string_view records, bool* appended = nullptr);
 
   /// Empties the log after a flush has persisted its records.
-  Status Truncate() { return env_->WriteFile(path_, ""); }
+  Status Truncate();
 
   const std::string& path() const { return path_; }
 
@@ -134,6 +137,7 @@ class WalWriter {
 
   Env* env_;
   std::string path_;
+  std::unique_ptr<AppendableFile> file_;  // Null until the first append.
   uint64_t next_sequence_ = 1;
 };
 

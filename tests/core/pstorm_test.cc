@@ -188,9 +188,9 @@ TEST_F(PStormFacadeTest, StoreCorruptionDegradesToNoMatchFound) {
                                   mrsim::Configuration{}, 11);
   ASSERT_TRUE(first.ok()) << first.status();
   ASSERT_TRUE(first->stored_new_profile);
-
-  // Rot every sstable under the store (PutProfile flushes eagerly, so the
-  // whole corpus lives in sstables at this point).
+  // Move the stored profile from the WAL into sstables, then rot every
+  // sstable under the store.
+  ASSERT_TRUE(system_->store().Flush().ok());
   size_t corrupted = 0;
   for (int r = 0; r < 8; ++r) {
     const std::string dir = "/pstorm/region_" + std::to_string(r);

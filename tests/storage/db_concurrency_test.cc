@@ -291,42 +291,36 @@ TEST_F(DbConcurrencyTest, BackgroundMaintenanceRacesReadersAndWriters) {
   EXPECT_GT(db->stats().compactions, 0u);
 }
 
-/// Wraps an Env and gives AppendFile a real fsync-like latency. The
-/// InMemoryEnv appends in nanoseconds, which can let every writer finish
+/// Wraps an Env and gives each log sync a real fsync-like latency. The
+/// InMemoryEnv syncs in nanoseconds, which can let every writer finish
 /// before the next arrives — with a realistic sync cost the writer queue
 /// always builds up and group commit has something to coalesce.
-class SlowAppendEnv final : public Env {
+class SlowAppendEnv final : public EnvWrapper {
  public:
-  explicit SlowAppendEnv(Env* target) : target_(target) {}
-  Status CreateDir(const std::string& path) override {
-    return target_->CreateDir(path);
-  }
-  bool FileExists(const std::string& path) const override {
-    return target_->FileExists(path);
-  }
-  Status WriteFile(const std::string& path, const std::string& data) override {
-    return target_->WriteFile(path, data);
-  }
-  Status AppendFile(const std::string& path, const std::string& data) override {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    return target_->AppendFile(path, data);
-  }
-  Result<std::string> ReadFile(const std::string& path) const override {
-    return target_->ReadFile(path);
-  }
-  Status DeleteFile(const std::string& path) override {
-    return target_->DeleteFile(path);
-  }
-  Status RenameFile(const std::string& from, const std::string& to) override {
-    return target_->RenameFile(from, to);
-  }
-  Result<std::vector<std::string>> ListDir(
-      const std::string& dir) const override {
-    return target_->ListDir(dir);
+  using EnvWrapper::EnvWrapper;
+  Result<std::unique_ptr<AppendableFile>> NewAppendableFile(
+      const std::string& path) override {
+    PSTORM_ASSIGN_OR_RETURN(std::unique_ptr<AppendableFile> file,
+                            target()->NewAppendableFile(path));
+    return std::unique_ptr<AppendableFile>(new SlowSyncFile(std::move(file)));
   }
 
  private:
-  Env* target_;
+  class SlowSyncFile final : public AppendableFile {
+   public:
+    explicit SlowSyncFile(std::unique_ptr<AppendableFile> file)
+        : file_(std::move(file)) {}
+    Status Append(std::string_view data) override {
+      return file_->Append(data);
+    }
+    Status Sync() override {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      return file_->Sync();
+    }
+
+   private:
+    std::unique_ptr<AppendableFile> file_;
+  };
 };
 
 TEST_F(DbConcurrencyTest, GroupCommitCoalescesConcurrentAppendsIntoFewerSyncs) {

@@ -1,8 +1,11 @@
 #include "storage/db.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <map>
+#include <string>
 
 #include "common/random.h"
 #include "storage/merging_iterator.h"
@@ -52,6 +55,32 @@ TEST_F(DbTest, OverwriteTakesLatestValue) {
   ASSERT_TRUE(db->Put("k", "old").ok());
   ASSERT_TRUE(db->Put("k", "new").ok());
   EXPECT_EQ(db->Get("k").value(), "new");
+}
+
+TEST_F(DbTest, WriteBatchCommitsInOrderWithOneSync) {
+  auto db = OpenDb();
+  ASSERT_TRUE(db->Put("gone", "old").ok());
+  const DbStats before = db->stats();
+  WriteBatch batch;
+  batch.Put("a", "1");
+  batch.Put("b", "2");
+  batch.Put("a", "3");  // Later records of a batch win.
+  batch.Delete("gone");
+  ASSERT_TRUE(db->Write(batch).ok());
+  const DbStats after = db->stats();
+  EXPECT_EQ(after.wal_appends - before.wal_appends, 4u);
+  EXPECT_EQ(after.wal_syncs - before.wal_syncs, 1u);
+  EXPECT_EQ(db->Get("a").value(), "3");
+  EXPECT_EQ(db->Get("b").value(), "2");
+  EXPECT_TRUE(db->Get("gone").status().IsNotFound());
+
+  // One empty key rejects the whole batch before anything is logged.
+  WriteBatch bad;
+  bad.Put("c", "1");
+  bad.Put("", "x");
+  EXPECT_TRUE(db->Write(bad).IsInvalidArgument());
+  EXPECT_TRUE(db->Get("c").status().IsNotFound());
+  EXPECT_EQ(db->stats().wal_appends, after.wal_appends);
 }
 
 TEST_F(DbTest, DeleteHidesKey) {
@@ -369,6 +398,43 @@ TEST(EnvTest, InMemoryBasics) {
   EXPECT_TRUE(env.DeleteFile("/a/c").IsNotFound());
 }
 
+/// Like a POSIX fd, an append handle writes to the file it opened: once
+/// WriteFile replaces the path, the old handle's appends miss it.
+TEST(EnvTest, InMemoryAppendHandleKeepsItsFile) {
+  InMemoryEnv env;
+  auto old_handle = env.NewAppendableFile("/log").value();
+  EXPECT_EQ(env.ReadFile("/log").value(), "");  // Created empty.
+  ASSERT_TRUE(old_handle->Append("a").ok());
+  ASSERT_TRUE(old_handle->Sync().ok());
+  EXPECT_EQ(env.ReadFile("/log").value(), "a");
+  ASSERT_TRUE(env.WriteFile("/log", "").ok());
+  ASSERT_TRUE(old_handle->Append("lost").ok());
+  EXPECT_EQ(env.ReadFile("/log").value(), "");
+  auto new_handle = env.NewAppendableFile("/log").value();
+  ASSERT_TRUE(new_handle->Append("b").ok());
+  EXPECT_EQ(env.ReadFile("/log").value(), "b");
+}
+
+TEST(EnvTest, PosixAppendHandleAppendsAndSyncs) {
+  PosixEnv env;
+  const std::string dir = ::testing::TempDir() + "/pstorm_append_test_" +
+                          std::to_string(::getpid());
+  ASSERT_TRUE(env.CreateDir(dir).ok());
+  const std::string path = dir + "/log";
+  {
+    auto log = env.NewAppendableFile(path);
+    ASSERT_TRUE(log.ok()) << log.status();
+    ASSERT_TRUE((*log)->Append("one").ok());
+    ASSERT_TRUE((*log)->Sync().ok());
+  }
+  auto reopened = env.NewAppendableFile(path).value();  // Appends, no trunc.
+  ASSERT_TRUE(reopened->Append("two").ok());
+  ASSERT_TRUE(reopened->Sync().ok());
+  EXPECT_EQ(env.ReadFile(path).value(), "onetwo");
+  ASSERT_TRUE(env.DeleteFile(path).ok());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(EnvTest, PosixRoundTrip) {
   PosixEnv env;
   const std::string dir =
@@ -396,6 +462,29 @@ TEST(DbOnPosixTest, EndToEnd) {
   auto db = Db::Open(&env, dir);
   ASSERT_TRUE(db.ok()) << db.status();
   EXPECT_EQ((*db)->Get("persisted").value(), "yes");
+}
+
+/// A flush replaces the WAL with an empty file; the log's append handle
+/// must follow it, or later records land in the unlinked old file and a
+/// reopen never sees them.
+TEST(DbOnPosixTest, AppendAfterFlushTruncatedTheLogIsReplayed) {
+  PosixEnv env;
+  const std::string dir = ::testing::TempDir() + "/pstorm_db_truncate_test_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  {
+    auto db = Db::Open(&env, dir).value();
+    ASSERT_TRUE(db->Put("flushed", "1").ok());
+    ASSERT_TRUE(db->Flush().ok());
+    ASSERT_TRUE(db->Put("after-truncate", "2").ok());
+  }
+  auto db = Db::Open(&env, dir).value();
+  EXPECT_EQ(db->stats().wal_records_replayed, 1u);
+  EXPECT_EQ(db->Get("flushed").value(), "1");
+  auto replayed = db->Get("after-truncate");
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(replayed.value(), "2");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

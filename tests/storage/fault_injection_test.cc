@@ -20,17 +20,20 @@ TEST(FaultInjectionEnvTest, CountsMutationsNotReads) {
   InMemoryEnv base;
   FaultInjectionEnv fault(&base);
   ASSERT_TRUE(fault.WriteFile("/a", "1").ok());
-  ASSERT_TRUE(fault.AppendFile("/a", "2").ok());
+  auto file = fault.NewAppendableFile("/a").value();
+  ASSERT_TRUE(file->Append("2").ok());
+  ASSERT_TRUE(file->Sync().ok());
   ASSERT_TRUE(fault.RenameFile("/a", "/b").ok());
   ASSERT_TRUE(fault.DeleteFile("/b").ok());
-  EXPECT_EQ(fault.mutation_count(), 4u);
+  EXPECT_EQ(fault.mutation_count(), 5u);
 
   ASSERT_TRUE(fault.CreateDir("/d").ok());
   ASSERT_TRUE(fault.WriteFile("/c", "x").ok());
+  (void)fault.NewAppendableFile("/e");
   (void)fault.ReadFile("/c");
   (void)fault.FileExists("/c");
   (void)fault.ListDir("/");
-  EXPECT_EQ(fault.mutation_count(), 5u);  // Only the WriteFile counted.
+  EXPECT_EQ(fault.mutation_count(), 6u);  // Only the WriteFile counted.
 }
 
 TEST(FaultInjectionEnvTest, CrashAtWriteKeepsOldContentsPlusTornTmp) {
@@ -57,10 +60,59 @@ TEST(FaultInjectionEnvTest, CrashAtWriteKeepsOldContentsPlusTornTmp) {
 TEST(FaultInjectionEnvTest, CrashAtAppendLandsTornSuffix) {
   InMemoryEnv base;
   FaultInjectionEnv fault(&base);
-  ASSERT_TRUE(fault.AppendFile("/log", "complete").ok());
+  auto log = fault.NewAppendableFile("/log").value();
+  ASSERT_TRUE(log->Append("complete").ok());
   fault.CrashAtMutation(1);
-  EXPECT_TRUE(fault.AppendFile("/log", "torntorn").IsIoError());
+  EXPECT_TRUE(log->Append("torntorn").IsIoError());
   EXPECT_EQ(base.ReadFile("/log").value(), "completetorn");
+}
+
+TEST(FaultInjectionEnvTest, PowerLossKeepsSyncedBytes) {
+  InMemoryEnv base;
+  FaultInjectionEnv fault(&base);
+  auto log = fault.NewAppendableFile("/log").value();
+  ASSERT_TRUE(log->Append("one").ok());
+  ASSERT_TRUE(log->Append("two").ok());
+  ASSERT_TRUE(log->Sync().ok());
+  fault.DropUnsyncedData();
+  EXPECT_EQ(base.ReadFile("/log").value(), "onetwo");
+}
+
+TEST(FaultInjectionEnvTest, PowerLossDropsAppendsSinceTheLastSync) {
+  InMemoryEnv base;
+  FaultInjectionEnv fault(&base);
+  auto log = fault.NewAppendableFile("/log").value();
+  ASSERT_TRUE(log->Append("synced").ok());
+  ASSERT_TRUE(log->Sync().ok());
+  ASSERT_TRUE(log->Append("-lost").ok());
+  auto never_synced = fault.NewAppendableFile("/other").value();
+  ASSERT_TRUE(never_synced->Append("lost too").ok());
+  // The crash tears one more append and fails the sync after it.
+  fault.CrashAtMutation(1);
+  EXPECT_TRUE(log->Append("-torn").IsIoError());
+  EXPECT_TRUE(log->Sync().IsIoError());
+  EXPECT_EQ(base.ReadFile("/log").value(), "synced-lost-t");
+  // A process crash keeps all of it; losing power keeps only the synced.
+  fault.DropUnsyncedData();
+  EXPECT_EQ(base.ReadFile("/log").value(), "synced");
+  EXPECT_EQ(base.ReadFile("/other").value(), "");
+}
+
+TEST(FaultInjectionEnvTest, PowerLossKeepsWriteFileOutput) {
+  InMemoryEnv base;
+  FaultInjectionEnv fault(&base);
+  ASSERT_TRUE(fault.WriteFile("/table", "whole").ok());
+  // A WriteFile over unsynced appends replaces them durably, and a rename
+  // carries the durable contents to the new name.
+  auto log = fault.NewAppendableFile("/log").value();
+  ASSERT_TRUE(log->Append("unsynced").ok());
+  ASSERT_TRUE(fault.WriteFile("/log", "rewritten").ok());
+  ASSERT_TRUE(fault.WriteFile("/m.tmp", "manifest").ok());
+  ASSERT_TRUE(fault.RenameFile("/m.tmp", "/m").ok());
+  fault.DropUnsyncedData();
+  EXPECT_EQ(base.ReadFile("/table").value(), "whole");
+  EXPECT_EQ(base.ReadFile("/log").value(), "rewritten");
+  EXPECT_EQ(base.ReadFile("/m").value(), "manifest");
 }
 
 TEST(FaultInjectionEnvTest, ClearFaultsRestoresService) {

@@ -201,43 +201,20 @@ TEST(ReplicationTest, SequenceGapIsRejectedNotApplied) {
 
 /// Delegating Env whose next `fail_reads` ReadFile calls return IoError —
 /// the transient NFS/disk blip the shipper's retry schedule exists for.
-class FlakyReadEnv final : public Env {
+class FlakyReadEnv final : public EnvWrapper {
  public:
-  explicit FlakyReadEnv(Env* target) : target_(target) {}
+  using EnvWrapper::EnvWrapper;
   void FailNextReads(int n) { fail_reads_ = n; }
 
-  Status CreateDir(const std::string& p) override {
-    return target_->CreateDir(p);
-  }
-  bool FileExists(const std::string& p) const override {
-    return target_->FileExists(p);
-  }
-  Status WriteFile(const std::string& p, const std::string& d) override {
-    return target_->WriteFile(p, d);
-  }
-  Status AppendFile(const std::string& p, const std::string& d) override {
-    return target_->AppendFile(p, d);
-  }
   Result<std::string> ReadFile(const std::string& p) const override {
     if (fail_reads_ > 0) {
       --fail_reads_;
       return Status::IoError("injected transient read error: " + p);
     }
-    return target_->ReadFile(p);
-  }
-  Status DeleteFile(const std::string& p) override {
-    return target_->DeleteFile(p);
-  }
-  Status RenameFile(const std::string& f, const std::string& t) override {
-    return target_->RenameFile(f, t);
-  }
-  Result<std::vector<std::string>> ListDir(
-      const std::string& d) const override {
-    return target_->ListDir(d);
+    return target()->ReadFile(p);
   }
 
  private:
-  Env* target_;
   mutable int fail_reads_ = 0;
 };
 

@@ -149,7 +149,10 @@ TEST(DbWalTest, TornWalTailLosesOnlyTheTornRecord) {
     ASSERT_TRUE(db->Put("acked", "v").ok());
   }
   // Simulate a crash mid-append of a *later* record.
-  ASSERT_TRUE(env.AppendFile("/db/WAL", "\x20\x00\x00\x00garbage").ok());
+  ASSERT_TRUE(env.NewAppendableFile("/db/WAL")
+                  .value()
+                  ->Append("\x20\x00\x00\x00garbage")
+                  .ok());
   auto db = Db::Open(&env, "/db").value();
   EXPECT_EQ(db->stats().wal_records_replayed, 1u);
   EXPECT_EQ(db->stats().wal_tail_truncated, 1u);
