@@ -36,6 +36,7 @@
 #include "storage/db.h"
 #include "storage/replication.h"
 #include "storage/wal.h"
+#include "sync_latency_env.h"
 #include "tools/synthetic_corpus.h"
 #include "whatif/whatif_engine.h"
 
@@ -208,52 +209,24 @@ void BM_DbGetHot(benchmark::State& state) {
 }
 BENCHMARK(BM_DbGetHot);
 
-// An Env whose log syncs cost what a real fsync costs. The InMemoryEnv
-// syncs in nanoseconds, which makes group commit pointless (there is
-// nothing to amortize); a ~20us sync is the cheap end of real hardware
-// and lets the coalescing show up in records_per_sync and items/s. The
-// sleep burns real time, not cpu time, so the cpu-time perf gate is not
-// measuring the simulated latency.
-class SyncLatencyEnv final : public storage::EnvWrapper {
- public:
-  using storage::EnvWrapper::EnvWrapper;
-  Result<std::unique_ptr<storage::AppendableFile>> NewAppendableFile(
-      const std::string& path) override {
-    PSTORM_ASSIGN_OR_RETURN(std::unique_ptr<storage::AppendableFile> file,
-                            target()->NewAppendableFile(path));
-    return std::unique_ptr<storage::AppendableFile>(
-        new SlowSyncFile(std::move(file)));
-  }
-
- private:
-  class SlowSyncFile final : public storage::AppendableFile {
-   public:
-    explicit SlowSyncFile(std::unique_ptr<storage::AppendableFile> file)
-        : file_(std::move(file)) {}
-    Status Append(std::string_view data) override {
-      return file_->Append(data);
-    }
-    Status Sync() override {
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-      return file_->Sync();
-    }
-
-   private:
-    std::unique_ptr<storage::AppendableFile> file_;
-  };
-};
-
 // Group commit under write contention: eight threads hammer Put against
 // one Db, and the leader/follower handoff folds the queued records into
 // shared WAL syncs. records_per_sync > 1 is the proof the coalescing
 // engages; the counter is the acceptance check (syncs < appends).
 void BM_GroupCommit(benchmark::State& state) {
   static storage::InMemoryEnv* base_env = nullptr;
-  static SyncLatencyEnv* env = nullptr;
+  static storage::SyncLatencyEnv* env = nullptr;
   static storage::Db* db = nullptr;
   if (state.thread_index() == 0 && db == nullptr) {
     base_env = new storage::InMemoryEnv();
-    env = new SyncLatencyEnv(base_env);
+    // The InMemoryEnv syncs in nanoseconds, which makes group commit
+    // pointless (there is nothing to amortize); a ~20us sync is the cheap
+    // end of real hardware and lets the coalescing show up in
+    // records_per_sync and items/s. The sleep burns real time, not cpu
+    // time, so the cpu-time perf gate is not measuring the simulated
+    // latency.
+    env = new storage::SyncLatencyEnv(base_env,
+                                      std::chrono::microseconds(20));
     storage::DbOptions options;
     options.memtable_flush_bytes = 64u << 20;  // Keep flushes off the path.
     db = storage::Db::Open(env, "/bm-db-group", options).value().release();

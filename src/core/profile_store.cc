@@ -489,25 +489,26 @@ Status ProfileStore::PutProfile(
     put.Add(kFamily, kUserParamsColumn, statics.user_params);
     put.Add(kFamily, kMapCallsColumn, StrJoin(statics.map_calls, ","));
     put.Add(kFamily, kRedCallsColumn, StrJoin(statics.reduce_calls, ","));
-    PSTORM_RETURN_IF_ERROR(table_->Put(put));
+    PSTORM_RETURN_IF_ERROR(table_->Put(put, options_.eager_flush));
   }
 
   // Payload row: the complete profile blob handed to the CBO on a match.
   {
     hstore::PutOp put(kPayloadPrefix + job_key);
     put.Add(kFamily, kProfileColumn, profile.Serialize());
-    PSTORM_RETURN_IF_ERROR(table_->Put(put));
+    PSTORM_RETURN_IF_ERROR(table_->Put(put, options_.eager_flush));
   }
 
   // The widened bounds are durable before the profile is discoverable:
   // every row write is synced before it returns, so no crash can leave a
   // published Dynamic row outside the persisted Meta/bounds. Bulk loaders
-  // opt out and save the bounds once, in Flush() — the rewrite is ~30
-  // columns per put, pure write amplification at corpus-load scale.
+  // opt out of both the bounds row and the syncs, and save the bounds and
+  // the table once, in Flush(): the rewrite is ~30 columns per put and
+  // each sync an fdatasync, pure cost at corpus-load scale.
   if (options_.eager_flush) PSTORM_RETURN_IF_ERROR(SaveBounds());
 
   // Publish: the Dynamic row makes the profile discoverable.
-  PSTORM_RETURN_IF_ERROR(table_->Put(dynamic_put));
+  PSTORM_RETURN_IF_ERROR(table_->Put(dynamic_put, options_.eager_flush));
 
   // Index maintenance rides immediately on publication — before anything
   // below can fail — so on every exit the index agrees with the table's

@@ -74,12 +74,15 @@ struct ProfileStoreOptions {
   /// region Dbs' options, ...).
   hstore::HTableOptions table;
 
-  /// Persist the widened normalization bounds in every PutProfile, before
-  /// the profile becomes discoverable, so a store reopened after any crash
+  /// Make every PutProfile durable before it returns: each of its rows is
+  /// one synced WAL batch, and the widened normalization bounds are
+  /// persisted before the profile becomes discoverable, so a store
+  /// reopened after any crash or power loss holds every acked profile and
   /// normalizes every stored vector inside its bounds. (The name is
-  /// historical: no put flushes the table, since the synced WAL already
-  /// makes an acked put durable.) Bulk loaders turn this off and call
-  /// Flush() themselves once per batch.
+  /// historical: no put flushes the table.) Bulk loaders turn this off and
+  /// call Flush() themselves once per batch: their puts skip the bounds
+  /// row and the syncs, so they survive a process crash, and a power loss
+  /// once that Flush() returns.
   bool eager_flush = true;
 };
 
@@ -117,7 +120,8 @@ class ProfileStore {
 
   /// Inserts or replaces the profile of `job_key` and updates the
   /// normalization bounds. On OK the profile is durable: each of its rows
-  /// is one synced WAL batch.
+  /// is one synced WAL batch (with eager_flush off, durable against a
+  /// power loss only once Flush() returns).
   Status PutProfile(const std::string& job_key,
                     const profiler::ExecutionProfile& profile,
                     const staticanalysis::StaticFeatures& statics);
@@ -234,7 +238,8 @@ class ProfileStore {
 
   /// Persists the normalization bounds and flushes the backing table: the
   /// end of a bulk load with eager_flush off, whose puts skip the bounds
-  /// row. No put needs it for durability.
+  /// row and the WAL syncs. No put under eager_flush needs it for
+  /// durability.
   Status Flush() {
     PSTORM_RETURN_IF_ERROR(SaveBounds());
     return table_->Flush();

@@ -350,14 +350,14 @@ Status HTable::ValidateKeyParts(const PutOp& put) const {
   return Status::OK();
 }
 
-Status HTable::Put(const PutOp& put) {
+Status HTable::Put(const PutOp& put, bool sync) {
   if (options_.read_only) {
     return Status::FailedPrecondition(
         "htable is a read-only replica; writes go to the primary");
   }
   PSTORM_RETURN_IF_ERROR(ValidateKeyParts(put));
-  // The whole row is one batch: one WAL append and one sync, seen by
-  // readers all-or-nothing.
+  // The whole row is one batch: one WAL append and at most one sync, seen
+  // by readers all-or-nothing.
   const uint64_t timestamp = logical_clock_.fetch_add(1) + 1;
   storage::WriteBatch batch;
   for (const Cell& cell : put.cells()) {
@@ -370,7 +370,7 @@ Status HTable::Put(const PutOp& put) {
     internal::Region* region = RegionForLocked(put.row());
     {
       std::lock_guard<std::mutex> stripe(region->write_mu());
-      PSTORM_RETURN_IF_ERROR(region->db()->Write(batch));
+      PSTORM_RETURN_IF_ERROR(region->db()->Write(batch, sync));
     }
     over_split_threshold = region->db()->ApproximateSizeBytes() >=
                            options_.region_split_bytes;
@@ -477,6 +477,13 @@ HTable::ReplicationSnapshot HTable::GetReplicationSnapshot() const {
 
 Result<std::vector<RowResult>> HTable::Scan(const ScanSpec& spec,
                                             ScanStats* stats) const {
+  // A bound holding the separator would cut through a row's cell keys
+  // (row "ab" sorts below stop row "ab\0", its cell "ab\0fam\0q" does
+  // not), so the memtable range copied below would miss cells of a row
+  // the scan returns.
+  if (ContainsNul(spec.start_row) || ContainsNul(spec.stop_row)) {
+    return Status::InvalidArgument("scan bounds must not contain NUL");
+  }
   // Work on a local accumulator and publish once on exit, so a caller
   // handing the same ScanStats object to a reader thread never observes a
   // half-updated struct from a completed scan. Publishing is RAII because
@@ -508,7 +515,8 @@ Result<std::vector<RowResult>> HTable::Scan(const ScanSpec& spec,
   // before or entirely after this block, so the scan sees an atomic
   // region layout; the iteration below then runs with no locks at all.
   // Each snapshot copies only the memtable records in [start_row,
-  // stop_row): a cell key sorts below stop_row exactly when its row does.
+  // stop_row): with NUL-free bounds a cell key sorts below stop_row
+  // exactly when its row does.
   struct RegionScan {
     std::unique_ptr<storage::Iterator> it;
   };

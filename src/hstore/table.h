@@ -121,11 +121,12 @@ class HTable {
   HTable(const HTable&) = delete;
   HTable& operator=(const HTable&) = delete;
 
-  /// Writes all cells of `put` as one storage::WriteBatch: one synced WAL
-  /// append, and a concurrent Get or Scan sees either none or all of the
-  /// cells. Fails if a cell names an unknown column family, or if any key
-  /// part contains a NUL byte.
-  Status Put(const PutOp& put);
+  /// Writes all cells of `put` as one storage::WriteBatch: one WAL append,
+  /// synced unless `sync` is false (see storage::Db::Write), and a
+  /// concurrent Get or Scan sees either none or all of the cells. Fails if
+  /// a cell names an unknown column family, or if any key part contains a
+  /// NUL byte.
+  Status Put(const PutOp& put, bool sync = true);
 
   /// All cells of `row`; NotFound when the row does not exist.
   Result<RowResult> Get(std::string_view row) const;
@@ -137,7 +138,8 @@ class HTable {
   /// Rows of [spec.start_row, spec.stop_row) passing the filter, in row
   /// order. `stats` (optional) receives the work accounting. The scan
   /// observes a point-in-time snapshot of every visited region, taken
-  /// atomically with respect to region splits.
+  /// atomically with respect to region splits. InvalidArgument when either
+  /// bound contains a NUL byte, which no row key can (see Put).
   Result<std::vector<RowResult>> Scan(const ScanSpec& spec,
                                       ScanStats* stats = nullptr) const;
 

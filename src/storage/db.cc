@@ -284,13 +284,14 @@ Status Db::Delete(std::string_view key) {
   return Write(batch);
 }
 
-Status Db::Write(const WriteBatch& batch) {
+Status Db::Write(const WriteBatch& batch, bool sync) {
   for (const WriteBatch::Op& op : batch.ops_) {
     if (op.key.empty()) return Status::InvalidArgument("empty key");
   }
   if (batch.ops_.empty()) return Status::OK();
   Writer w;
   w.batch = &batch;
+  w.sync = sync;
 
   std::unique_lock<std::mutex> writer_lock(writer_mu_);
   if (replica_.load(std::memory_order_relaxed)) {
@@ -301,6 +302,7 @@ Status Db::Write(const WriteBatch& batch) {
     return Status::FailedPrecondition(
         "db is a read-only replica; writes go to the primary");
   }
+  if (!write_error_.ok()) return write_error_;
   writers_.push_back(&w);
   writers_cv_.wait(writer_lock, [&] {
     return w.done || (!batch_in_flight_ && writers_.front() == &w);
@@ -310,20 +312,28 @@ Status Db::Write(const WriteBatch& batch) {
   // Leader. Every batch queued right now rides in this group. Writers
   // arriving during the WAL IO below queue behind it for the next leader.
   const size_t group_size = writers_.size();
+  if (!write_error_.ok()) {
+    // The group ahead failed its log write while this one queued.
+    const Status failed = write_error_;
+    AckGroupLocked(group_size, failed);
+    return failed;
+  }
   // The leader stamps commit sequences base+1, base+2, ... over the
   // records of the queued batches in queue order. Only the (serialized)
   // leader advances last_sequence_, and only once the records are in the
-  // log — an append that never reached the log reuses the range, which is
-  // safe because no record on disk carries those sequences.
+  // log; a failed append latches write_error_, so its range is never
+  // reused.
   const uint64_t base_sequence =
       last_sequence_.load(std::memory_order_relaxed);
   // Log before memtable: a mutation is acked only once its record has
-  // been appended and synced, so it survives a power loss. The whole
-  // group goes down in one append and one sync, the point of the group
-  // commit.
+  // been appended and (when any writer of the group asks) synced, so it
+  // survives a power loss. The whole group goes down in one append and at
+  // most one sync, the point of the group commit.
   WalSegment group;
+  bool group_sync = false;
   uint64_t sequence = base_sequence;
   for (size_t i = 0; i < group_size; ++i) {
+    group_sync |= writers_[i]->sync;
     for (const WriteBatch::Op& op : writers_[i]->batch->ops_) {
       const std::string frame =
           EncodeWalRecord(++sequence, op.type, op.key, op.value);
@@ -339,10 +349,9 @@ Status Db::Write(const WriteBatch& batch) {
   const uint64_t commit_epoch = epoch_.load(std::memory_order_relaxed);
   batch_in_flight_ = true;
   writer_lock.unlock();
-  bool logged = false;
-  Status s = wal_.AppendBatch(group.raw, &logged);
+  Status s = wal_.AppendBatch(group.raw, group_sync);
   Status ship;
-  if (logged && listener != nullptr) {
+  if (s.ok() && listener != nullptr) {
     // Sync replication hook, after the sync. The records are in the local
     // log either way; a ship failure is reported to the writers (see
     // CommitListener docs).
@@ -350,45 +359,54 @@ Status Db::Write(const WriteBatch& batch) {
   }
   writer_lock.lock();
   batch_in_flight_ = false;
-  if (logged) {
-    // The records carry their sequences in the log for good, even when the
-    // sync failed: a reopen may replay them. So they are committed here as
-    // well, and only the writers' status tells of the failure.
-    const uint64_t records = sequence - base_sequence;
-    stats_.wal_appends += records;
-    WalAppends().Add(records);
-    if (s.ok()) {
-      ++stats_.wal_syncs;
-      WalSyncs().Increment();
-    }
-    {
-      std::unique_lock<std::shared_mutex> state_lock(state_mu_);
-      for (size_t i = 0; i < group_size; ++i) {
-        for (const WriteBatch::Op& op : writers_[i]->batch->ops_) {
-          if (op.type == EntryType::kValue) {
-            memtable_.Put(op.key, op.value);
-          } else {
-            memtable_.Delete(op.key);
-          }
+  if (!s.ok()) {
+    s = SetWriteErrorLocked(s);
+    AckGroupLocked(group_size, s);
+    return s;
+  }
+  const uint64_t records = sequence - base_sequence;
+  stats_.wal_appends += records;
+  WalAppends().Add(records);
+  if (group_sync) {
+    ++stats_.wal_syncs;
+    WalSyncs().Increment();
+  }
+  {
+    std::unique_lock<std::shared_mutex> state_lock(state_mu_);
+    for (size_t i = 0; i < group_size; ++i) {
+      for (const WriteBatch::Op& op : writers_[i]->batch->ops_) {
+        if (op.type == EntryType::kValue) {
+          memtable_.Put(op.key, op.value);
+        } else {
+          memtable_.Delete(op.key);
         }
       }
     }
-    last_sequence_.store(sequence, std::memory_order_release);
-    // Locally committed but possibly not replicated: surface the ship
-    // error to every writer in the batch.
-    if (s.ok() && !ship.ok()) s = ship;
   }
+  last_sequence_.store(sequence, std::memory_order_release);
+  // Locally committed but possibly not replicated: surface the ship error
+  // to every writer in the batch.
+  AckGroupLocked(group_size, ship);
+  if (!ship.ok()) return ship;
+  return MaybeFlushLocked();
+}
+
+void Db::AckGroupLocked(size_t group_size, const Status& status) {
   for (size_t i = 0; i < group_size; ++i) {
     Writer* writer = writers_.front();
     writers_.pop_front();
-    if (writer != &w) {
-      writer->status = s;
-      writer->done = true;
-    }
+    writer->status = status;
+    writer->done = true;
   }
   writers_cv_.notify_all();
-  if (!s.ok()) return s;
-  return MaybeFlushLocked();
+}
+
+Status Db::SetWriteErrorLocked(Status status) {
+  write_error_ = status;
+  PSTORM_LOG(Error) << "db " << path_ << ": WAL write failed ("
+                    << status.ToString()
+                    << "); refusing writes until the db is reopened";
+  return status;
 }
 
 std::unique_lock<std::mutex> Db::LockWriterForMaintenance() {
@@ -535,6 +553,7 @@ Result<std::shared_ptr<TableHandle>> Db::BuildTableFromMemtable(
 
 Status Db::Flush() {
   std::unique_lock<std::mutex> writer_lock = LockWriterForMaintenance();
+  PSTORM_RETURN_IF_ERROR(write_error_);
   return FlushLocked();
 }
 
@@ -577,6 +596,7 @@ Status Db::FlushLocked() {
 
 Status Db::CompactAll() {
   std::unique_lock<std::mutex> writer_lock = LockWriterForMaintenance();
+  PSTORM_RETURN_IF_ERROR(write_error_);
   return CompactAllLocked();
 }
 
@@ -892,6 +912,7 @@ Status Db::ApplyReplicated(uint64_t primary_epoch, const WalSegment& segment) {
         "stale epoch " + std::to_string(primary_epoch) + " < " +
         std::to_string(epoch_.load()) + ": shipped batch fenced");
   }
+  PSTORM_RETURN_IF_ERROR(write_error_);
   if (primary_epoch > epoch_.load(std::memory_order_acquire)) {
     // Persist the fence *before* applying any record of the new epoch: a
     // crash right after must still reject the old primary on reopen.
@@ -917,17 +938,14 @@ Status Db::ApplyReplicated(uint64_t primary_epoch, const WalSegment& segment) {
   // Byte-identical append and one sync: the replica's log carries the
   // primary's exact frames (sequences and checksums included), which is
   // what makes divergence detectable and a promoted replica's log
-  // shippable onward. Records that reached the log are applied even when
-  // the sync failed, as in Write.
-  bool logged = false;
-  const Status s = wal_.AppendBatch(segment.raw, &logged);
-  if (!logged) return s;
+  // shippable onward. A failed append or sync latches write_error_, as in
+  // Write.
+  const Status s = wal_.AppendBatch(segment.raw, /*sync=*/true);
+  if (!s.ok()) return SetWriteErrorLocked(s);
   stats_.wal_appends += records.size();
   WalAppends().Add(records.size());
-  if (s.ok()) {
-    ++stats_.wal_syncs;
-    WalSyncs().Increment();
-  }
+  ++stats_.wal_syncs;
+  WalSyncs().Increment();
   {
     std::unique_lock<std::shared_mutex> state_lock(state_mu_);
     for (const WalRecord& record : records) {
@@ -943,7 +961,6 @@ Status Db::ApplyReplicated(uint64_t primary_epoch, const WalSegment& segment) {
   stats_.replicated_records += records.size();
   ReplicatedBatches().Increment();
   ReplicatedRecords().Add(records.size());
-  PSTORM_RETURN_IF_ERROR(s);
   return MaybeFlushLocked();
 }
 

@@ -132,9 +132,9 @@ struct DbStats {
 ///    manifest order) and publish memtable edits under a brief exclusive
 ///    lock of the state mutex. Concurrent Put/Delete/Write calls
 ///    group-commit: each enqueues itself, the front writer becomes the
-///    leader, drains the queue into one WAL append and one sync (releasing
-///    the writer mutex for the IO), applies the batches to the memtable in
-///    queue order, and wakes the followers with their status.
+///    leader, drains the queue into one WAL append and at most one sync
+///    (releasing the writer mutex for the IO), applies the batches to the
+///    memtable in queue order, and wakes the followers with their status.
 ///  * Flushes and compactions run inline under the writer mutex: on the
 ///    leader whose batch fills the memtable, or in an explicit Flush /
 ///    CompactAll. So flush, compaction and manifest writes never race each
@@ -201,12 +201,18 @@ class Db {
 
   Status Put(std::string_view key, std::string_view value);
   Status Delete(std::string_view key);
-  /// Commits every mutation of `batch`, in order, with one WAL append and
-  /// one sync. InvalidArgument, writing nothing, when a key is empty. An
-  /// error after the append reached the log (the sync failed, or the
-  /// commit listener did) still applies the batch: a reopen could replay
-  /// it, so the live Db shows it too.
-  Status Write(const WriteBatch& batch);
+  /// Commits every mutation of `batch`, in order, with one WAL append and,
+  /// when `sync` is set, one sync. InvalidArgument, writing nothing, when a
+  /// key is empty. Without `sync` an acked batch survives a process crash
+  /// but a power loss only once a later synced write or a Flush has made
+  /// the log durable (a bulk load's contract; a group syncs when any of
+  /// its batches asks to). If the append or the sync fails, the batch is
+  /// not applied and the Db refuses every later Write, ApplyReplicated,
+  /// Flush and CompactAll with that error until it is reopened: the log
+  /// may end in a torn frame, and a record appended behind it would be
+  /// lost to replay. A commit listener's error still applies the batch
+  /// (it is in the synced log) and leaves the Db writable.
+  Status Write(const WriteBatch& batch, bool sync = true);
 
   /// NotFound if the key is absent or deleted. Safe to call concurrently
   /// with writers; observes a point-in-time snapshot.
@@ -282,7 +288,9 @@ class Db {
   /// adopts (persists) a newer epoch before applying its records, requires
   /// exact sequence contiguity (first == last_sequence()+1, else
   /// InvalidArgument — the applier re-fetches), appends the frames
-  /// byte-identical to the local WAL, and applies them to the memtable.
+  /// byte-identical to the local WAL, syncs, and applies them to the
+  /// memtable. A failed append or sync refuses every later write until
+  /// reopen, as in Write.
   Status ApplyReplicated(uint64_t primary_epoch, const WalSegment& segment);
 
   /// Fences the old primary and makes this Db writable: persists epoch+1
@@ -331,9 +339,17 @@ class Db {
   /// stack; `batch` stays valid because that thread blocks until `done`.
   struct Writer {
     const WriteBatch* batch = nullptr;
+    bool sync = true;
     Status status;
     bool done = false;
   };
+
+  /// Pops the group's `group_size` writers off the queue, hands each
+  /// `status`, and wakes them. writer_mu_ must be held.
+  void AckGroupLocked(size_t group_size, const Status& status);
+  /// Latches `status`, a failed WAL append or sync, into write_error_ and
+  /// returns it. writer_mu_ must be held.
+  Status SetWriteErrorLocked(Status status);
 
   /// The snapshot behind both public iterators: a copy of the memtable's
   /// [lower, upper) records merged with the pinned current Version, whose
@@ -393,6 +409,13 @@ class Db {
   /// Serializes every mutation entry point: WAL appends, memtable writes,
   /// flushes, compactions and manifest writes.
   std::mutex writer_mu_;
+  /// The first failed WAL append or sync, never cleared (LevelDB's
+  /// bg_error_). Guarded by writer_mu_. Once set, every Write,
+  /// ApplyReplicated, Flush and CompactAll returns it: the log may end in
+  /// a torn frame or in pages a failed fdatasync left unwritten, which
+  /// replay stops at, so anything appended or acked behind it would be
+  /// lost. Reopening cuts the log back to its intact prefix.
+  Status write_error_;
   /// Group-commit state, guarded by writer_mu_. The front writer is the
   /// leader; batch_in_flight_ is true while it has writer_mu_ released for
   /// the batch's WAL append, sync and commit listener — Flush/CompactAll

@@ -75,17 +75,21 @@ std::string EncodeWalRecord(uint64_t sequence, EntryType type,
 
 Status WalWriter::Append(EntryType type, std::string_view key,
                          std::string_view value) {
-  return AppendBatch(EncodeWalRecord(next_sequence_++, type, key, value));
+  return AppendBatch(EncodeWalRecord(next_sequence_++, type, key, value),
+                     /*sync=*/true);
 }
 
-Status WalWriter::AppendBatch(std::string_view records, bool* appended) {
-  if (appended != nullptr) *appended = false;
+Status WalWriter::AppendBatch(std::string_view records, bool sync) {
   if (file_ == nullptr) {
     PSTORM_ASSIGN_OR_RETURN(file_, env_->NewAppendableFile(path_));
   }
-  PSTORM_RETURN_IF_ERROR(file_->Append(records));
-  if (appended != nullptr) *appended = true;
-  return file_->Sync();
+  Status s = file_->Append(records);
+  if (s.ok() && sync) s = file_->Sync();
+  // A failed append may have left part of its frame in the file, and a
+  // failed sync may have left earlier pages unwritten: either way nothing
+  // appended behind it is reachable by replay, so the handle goes.
+  if (!s.ok()) file_.reset();
+  return s;
 }
 
 Status WalWriter::Truncate() {

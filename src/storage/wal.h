@@ -120,12 +120,14 @@ class WalWriter {
   void set_next_sequence(uint64_t sequence) { next_sequence_ = sequence; }
 
   /// Appends a pre-encoded run of records (each framed by EncodeWalRecord,
-  /// concatenated) in one append, then syncs the log once: the group-commit
-  /// path, one IO and one fdatasync for a whole batch of writers. An OK
-  /// return means the records survive a power loss. `appended` (optional)
-  /// reports whether the records reached the file; they did when only the
-  /// sync failed, and then a later open may replay them.
-  Status AppendBatch(std::string_view records, bool* appended = nullptr);
+  /// concatenated) in one append, then, when `sync` is set, syncs the log
+  /// once: the group-commit path, one IO and one fdatasync for a whole
+  /// batch of writers. An OK return means the records survive a process
+  /// crash, and with `sync` a power loss too. On error the handle is
+  /// dropped and the log may end in a torn frame that replay stops at, so
+  /// the caller must not append again (the Db refuses writes until a
+  /// reopen cuts the log back to its intact prefix).
+  Status AppendBatch(std::string_view records, bool sync);
 
   /// Empties the log after a flush has persisted its records.
   Status Truncate();

@@ -3,6 +3,7 @@
 // every acked put must survive a process crash at every mutation and a
 // power loss at every point of the run, byte-identical on reopen, and the
 // reopened match index must lie inside the persisted normalization bounds.
+// A bulk load's puts (eager_flush off) become durable at its Flush().
 
 #include <gtest/gtest.h>
 
@@ -179,6 +180,33 @@ TEST(ProfileStoreCrashTest, IndexedVectorsLieInsideBoundsAfterAnyCrash) {
           ExpectIndexInsideBounds(store);
         });
   }
+}
+
+/// A bulk load (eager_flush off) syncs nothing per put; its closing
+/// Flush() makes every put survive a power loss.
+TEST(ProfileStoreCrashTest, BulkLoadPutsBecomeDurableAtFlush) {
+  storage::InMemoryEnv disk;
+  storage::FaultInjectionEnv fault(&disk);
+  ProfileStoreOptions bulk;
+  bulk.eager_flush = false;
+  const tools::SyntheticCorpus corpus = Corpus();
+  std::map<std::string, std::string> loaded;
+  {
+    auto store = ProfileStore::Open(&fault, "/s", bulk).value();
+    const uint64_t syncs_at_open = store->StorageStats().wal_syncs;
+    for (size_t i = 0; i < 5; ++i) {
+      const tools::SyntheticProfile p = corpus.Make(i);
+      ASSERT_TRUE(store->PutProfile(p.job_key, p.profile, p.statics).ok());
+      loaded[p.job_key] = EntryBytes(p.profile, p.statics);
+    }
+    EXPECT_EQ(store->StorageStats().wal_syncs, syncs_at_open);
+    ASSERT_TRUE(store->Flush().ok());
+  }
+  fault.DropUnsyncedData();
+  auto store = ProfileStore::Open(&fault, "/s", bulk).value();
+  EXPECT_EQ(store->num_profiles(), loaded.size());
+  ExpectAckedPutsReadBack(*store, loaded);
+  ExpectIndexInsideBounds(*store);
 }
 
 TEST(ProfileStoreCrashTest, DefaultPutBelowMemtableLimitRunsNoFlush) {

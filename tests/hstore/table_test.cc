@@ -141,6 +141,28 @@ TEST_F(HTableTest, ScanRangeInRowOrder) {
   EXPECT_EQ((*rows)[2].row(), "d");
 }
 
+TEST_F(HTableTest, ScanRejectsBoundsContainingNul) {
+  auto table = OpenTable();
+  PutOp put("ab");
+  put.Add("Features", "q", "v");
+  ASSERT_TRUE(table->Put(put).ok());
+  // Row "ab" sorts below stop row "ab\0" but its cell keys do not, so such
+  // a bound would cut the row's cells apart.
+  ScanSpec spec;
+  spec.stop_row = std::string("ab\0", 3);
+  EXPECT_TRUE(table->Scan(spec).status().IsInvalidArgument());
+  spec.stop_row.clear();
+  spec.start_row = std::string("a\0", 2);
+  EXPECT_TRUE(table->Scan(spec).status().IsInvalidArgument());
+
+  spec.start_row = "a";
+  spec.stop_row = "ac";
+  auto rows = table->Scan(spec);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].row(), "ab");
+}
+
 TEST_F(HTableTest, ScanWithPrefixFilterPushdown) {
   auto table = OpenTable();
   for (int i = 0; i < 10; ++i) {

@@ -11,6 +11,7 @@
 #include "storage/block_cache.h"
 #include "storage/db.h"
 #include "storage/env.h"
+#include "sync_latency_env.h"
 #include "test_strings.h"
 
 namespace pstorm::storage {
@@ -291,43 +292,11 @@ TEST_F(DbConcurrencyTest, BackgroundMaintenanceRacesReadersAndWriters) {
   EXPECT_GT(db->stats().compactions, 0u);
 }
 
-/// Wraps an Env and gives each log sync a real fsync-like latency. The
-/// InMemoryEnv syncs in nanoseconds, which can let every writer finish
-/// before the next arrives — with a realistic sync cost the writer queue
-/// always builds up and group commit has something to coalesce.
-class SlowAppendEnv final : public EnvWrapper {
- public:
-  using EnvWrapper::EnvWrapper;
-  Result<std::unique_ptr<AppendableFile>> NewAppendableFile(
-      const std::string& path) override {
-    PSTORM_ASSIGN_OR_RETURN(std::unique_ptr<AppendableFile> file,
-                            target()->NewAppendableFile(path));
-    return std::unique_ptr<AppendableFile>(new SlowSyncFile(std::move(file)));
-  }
-
- private:
-  class SlowSyncFile final : public AppendableFile {
-   public:
-    explicit SlowSyncFile(std::unique_ptr<AppendableFile> file)
-        : file_(std::move(file)) {}
-    Status Append(std::string_view data) override {
-      return file_->Append(data);
-    }
-    Status Sync() override {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      return file_->Sync();
-    }
-
-   private:
-    std::unique_ptr<AppendableFile> file_;
-  };
-};
-
 TEST_F(DbConcurrencyTest, GroupCommitCoalescesConcurrentAppendsIntoFewerSyncs) {
   // Eight contending writers: the leader/follower handoff should fold many
   // queued records into single WAL syncs, so the physical sync count lands
   // well below the logical append count.
-  SlowAppendEnv slow(&env_);
+  SyncLatencyEnv slow(&env_, std::chrono::microseconds(200));
   auto db_or = Db::Open(&slow, "/db", DbOptions());
   ASSERT_TRUE(db_or.ok()) << db_or.status();
   auto db = std::move(db_or).value();

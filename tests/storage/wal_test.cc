@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "storage/db.h"
@@ -12,6 +16,54 @@
 
 namespace pstorm::storage {
 namespace {
+
+/// Fails one log write on request: the next Append lands all of its bytes
+/// but the last, so its final frame is torn however many frames the group
+/// holds, and returns IoError (ENOSPC or EIO partway through a write); or
+/// the next Sync returns IoError after the bytes reached the file (a
+/// failed fdatasync). Safe to arm from any thread.
+class FailingLogEnv final : public EnvWrapper {
+ public:
+  using EnvWrapper::EnvWrapper;
+
+  void TearNextAppend() { fail_append_.store(true); }
+  void FailNextSync() { fail_sync_.store(true); }
+
+  Result<std::unique_ptr<AppendableFile>> NewAppendableFile(
+      const std::string& path) override {
+    PSTORM_ASSIGN_OR_RETURN(std::unique_ptr<AppendableFile> file,
+                            target()->NewAppendableFile(path));
+    return std::unique_ptr<AppendableFile>(
+        new FailingFile(this, std::move(file)));
+  }
+
+ private:
+  class FailingFile final : public AppendableFile {
+   public:
+    FailingFile(FailingLogEnv* env, std::unique_ptr<AppendableFile> file)
+        : env_(env), file_(std::move(file)) {}
+    Status Append(std::string_view data) override {
+      if (env_->fail_append_.exchange(false)) {
+        EXPECT_TRUE(file_->Append(data.substr(0, data.size() - 1)).ok());
+        return Status::IoError("no space left on device");
+      }
+      return file_->Append(data);
+    }
+    Status Sync() override {
+      if (env_->fail_sync_.exchange(false)) {
+        return Status::IoError("fdatasync failed");
+      }
+      return file_->Sync();
+    }
+
+   private:
+    FailingLogEnv* env_;
+    std::unique_ptr<AppendableFile> file_;
+  };
+
+  std::atomic<bool> fail_append_{false};
+  std::atomic<bool> fail_sync_{false};
+};
 
 // --------------------------------------------------------------- framing
 
@@ -157,6 +209,153 @@ TEST(DbWalTest, TornWalTailLosesOnlyTheTornRecord) {
   EXPECT_EQ(db->stats().wal_records_replayed, 1u);
   EXPECT_EQ(db->stats().wal_tail_truncated, 1u);
   EXPECT_EQ(db->Get("acked").value(), "v");
+}
+
+TEST(DbWalTest, TornAppendRefusesWritesUntilReopen) {
+  InMemoryEnv disk;
+  FailingLogEnv env(&disk);
+  {
+    auto db = Db::Open(&env, "/db").value();
+    ASSERT_TRUE(db->Put("acked", "1").ok());
+    env.TearNextAppend();
+    EXPECT_TRUE(db->Put("failed", "x").IsIoError());
+    EXPECT_TRUE(db->Get("failed").status().IsNotFound());
+    // A record appended behind the torn frame could never be replayed, so
+    // nothing more is acked, and no flush truncates the evidence away.
+    EXPECT_TRUE(db->Put("behind-the-tear", "y").IsIoError());
+    EXPECT_TRUE(db->Delete("acked").IsIoError());
+    EXPECT_TRUE(db->Flush().IsIoError());
+    EXPECT_TRUE(db->CompactAll().IsIoError());
+    EXPECT_TRUE(db->Get("behind-the-tear").status().IsNotFound());
+    EXPECT_EQ(db->Get("acked").value(), "1");  // Reads are still served.
+  }
+  // The reopen cuts the log back to its intact prefix, and the Db takes
+  // writes again, which a later reopen replays.
+  {
+    auto db = Db::Open(&env, "/db").value();
+    EXPECT_EQ(db->stats().wal_tail_truncated, 1u);
+    EXPECT_EQ(db->Get("acked").value(), "1");
+    EXPECT_TRUE(db->Get("failed").status().IsNotFound());
+    ASSERT_TRUE(db->Put("after-reopen", "z").ok());
+  }
+  auto db = Db::Open(&env, "/db").value();
+  EXPECT_EQ(db->stats().wal_tail_truncated, 0u);
+  EXPECT_EQ(db->Get("acked").value(), "1");
+  EXPECT_EQ(db->Get("after-reopen").value(), "z");
+}
+
+TEST(DbWalTest, FailedSyncRefusesWritesUntilReopen) {
+  InMemoryEnv disk;
+  FailingLogEnv env(&disk);
+  {
+    auto db = Db::Open(&env, "/db").value();
+    ASSERT_TRUE(db->Put("acked", "1").ok());
+    const uint64_t syncs = db->stats().wal_syncs;
+    env.FailNextSync();
+    EXPECT_TRUE(db->Put("unsynced", "x").IsIoError());
+    // Not applied: its pages may never reach the disk.
+    EXPECT_TRUE(db->Get("unsynced").status().IsNotFound());
+    EXPECT_EQ(db->last_sequence(), 1u);
+    EXPECT_EQ(db->stats().wal_syncs, syncs);
+    EXPECT_TRUE(db->Put("after", "y").IsIoError());
+    EXPECT_TRUE(db->Flush().IsIoError());
+  }
+  auto db = Db::Open(&env, "/db").value();
+  EXPECT_EQ(db->Get("acked").value(), "1");
+  EXPECT_TRUE(db->Get("after").status().IsNotFound());
+  ASSERT_TRUE(db->Put("after-reopen", "z").ok());
+  EXPECT_EQ(db->Get("after-reopen").value(), "z");
+}
+
+TEST(DbWalTest, ConcurrentWritersAckNothingBehindATornAppend) {
+  InMemoryEnv disk;
+  FailingLogEnv env(&disk);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 200;
+  std::vector<std::vector<int>> acked(kThreads);
+  {
+    auto db = Db::Open(&env, "/db").value();
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          // Tear one group's append while the others keep writing.
+          if (t == 0 && i == kPerThread / 4) env.TearNextAppend();
+          const std::string key = Numbered("t", t) + Numbered("-", i);
+          if (db->Put(key, std::to_string(i)).ok()) acked[t].push_back(i);
+        }
+      });
+    }
+    for (std::thread& thread : writers) thread.join();
+  }
+  // Every acked write survives the reopen: none was acked behind the tear.
+  auto db = Db::Open(&env, "/db").value();
+  size_t total_acked = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    total_acked += acked[t].size();
+    for (int i : acked[t]) {
+      const std::string key = Numbered("t", t) + Numbered("-", i);
+      auto value = db->Get(key);
+      ASSERT_TRUE(value.ok()) << "acked " << key << ": " << value.status();
+      EXPECT_EQ(*value, std::to_string(i));
+    }
+  }
+  EXPECT_GE(total_acked, size_t{kPerThread / 4});
+  EXPECT_LT(total_acked, size_t{kThreads} * kPerThread);
+}
+
+TEST(DbWalTest, FailedReplicatedSyncRefusesBatchesUntilReopen) {
+  InMemoryEnv disk;
+  FailingLogEnv env(&disk);
+  auto primary = Db::Open(&disk, "/primary").value();
+  ASSERT_TRUE(primary->Put("a", "1").ok());
+  const WalSegment first = primary->FetchWalSince(1).value().segment;
+  ASSERT_TRUE(primary->Put("b", "2").ok());
+  const WalSegment second = primary->FetchWalSince(2).value().segment;
+  DbOptions replica_options;
+  replica_options.read_only_replica = true;
+  {
+    auto replica = Db::Open(&env, "/replica", replica_options).value();
+    env.FailNextSync();
+    EXPECT_TRUE(replica->ApplyReplicated(primary->epoch(), first).IsIoError());
+    EXPECT_EQ(replica->last_sequence(), 0u);
+    // A retry of the same batch would append cleanly, but behind a log
+    // that may have a hole: refused.
+    EXPECT_TRUE(replica->ApplyReplicated(primary->epoch(), first).IsIoError());
+  }
+  auto replica = Db::Open(&env, "/replica", replica_options).value();
+  // The failed sync's bytes did reach this env's file, so the reopen
+  // replays them, and the applier resumes after them.
+  ASSERT_EQ(replica->last_sequence(), 1u);
+  ASSERT_TRUE(replica->ApplyReplicated(primary->epoch(), second).ok());
+  EXPECT_EQ(replica->Get("a").value(), "1");
+  EXPECT_EQ(replica->Get("b").value(), "2");
+}
+
+TEST(DbWalTest, UnsyncedBatchIsDurableOnceFlushed) {
+  InMemoryEnv disk;
+  FaultInjectionEnv env(&disk);
+  WriteBatch bulk;
+  bulk.Put("bulk", "2");
+  {
+    auto db = Db::Open(&env, "/db").value();
+    ASSERT_TRUE(db->Put("synced", "1").ok());
+    ASSERT_TRUE(db->Write(bulk, /*sync=*/false).ok());
+    EXPECT_EQ(db->stats().wal_syncs, 1u);
+    EXPECT_EQ(db->Get("bulk").value(), "2");
+  }
+  // A power loss takes the batch, which only the page cache held.
+  env.DropUnsyncedData();
+  {
+    auto db = Db::Open(&env, "/db").value();
+    EXPECT_EQ(db->Get("synced").value(), "1");
+    EXPECT_TRUE(db->Get("bulk").status().IsNotFound());
+    ASSERT_TRUE(db->Write(bulk, /*sync=*/false).ok());
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  env.DropUnsyncedData();
+  auto db = Db::Open(&env, "/db").value();
+  EXPECT_EQ(db->Get("bulk").value(), "2");
 }
 
 TEST(DbWalTest, ReplayIsIdempotentAcrossRepeatedReopens) {
