@@ -277,18 +277,18 @@ BENCHMARK(BM_DbReopenAfterCrash)->Arg(1000)->Arg(10000);
 // Steady-state WAL shipping: the per-record cost of moving a committed
 // batch from the primary's log onto a warm follower (fetch + CRC verify +
 // sequence check + replicated apply). This is the tax a standby adds per
-// committed write in async mode.
+// committed write.
 void BM_WalShip(benchmark::State& state) {
   storage::InMemoryEnv env;
   storage::DbOptions primary_options;
   primary_options.memtable_flush_bytes = 64u << 20;
   auto primary =
       storage::Db::Open(&env, "/bm-primary", primary_options).value();
-  storage::ReplicaSession::Options options;
-  options.follower_db.memtable_flush_bytes = 64u << 20;
+  storage::DbOptions follower_options;
+  follower_options.memtable_flush_bytes = 64u << 20;
   auto session =
       storage::ReplicaSession::Open(primary.get(), &env, "/bm-follower",
-                                    options)
+                                    follower_options)
           .value();
   int i = 0;
   int rounds = 0;
@@ -327,14 +327,12 @@ void BM_ReplicaCatchup(benchmark::State& state) {
   for (int i = 0; i < n; ++i) {
     PSTORM_CHECK_OK(primary->Put("key" + std::to_string(i), std::string(128, 'v')));
   }
-  storage::ReplicaSession::Options session_options;
-  session_options.follower_db.memtable_flush_bytes = 64u << 20;
   int round = 0;
   for (auto _ : state) {
     // A fresh follower directory per round: each open pays the full join.
     auto session = storage::ReplicaSession::Open(
         primary.get(), &env, "/bm-follower-" + std::to_string(round++),
-        session_options);
+        options);
     PSTORM_CHECK_OK(session.status());
     PSTORM_CHECK_OK((*session)->CatchUp());
     PSTORM_CHECK((*session)->lag() == 0);

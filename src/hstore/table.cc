@@ -1,7 +1,10 @@
 #include "hstore/table.h"
 
 #include <algorithm>
+#include <charconv>
+#include <map>
 #include <mutex>
+#include <set>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -133,6 +136,17 @@ bool ContainsNul(std::string_view s) {
   return s.find(kSep) != std::string_view::npos;
 }
 
+/// A TABLEMETA number: decimal digits only, within uint64_t.
+Result<uint64_t> ParseMetaNumber(std::string_view text) {
+  uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size()) {
+    return Status::Corruption("bad table meta number");
+  }
+  return value;
+}
+
 }  // namespace
 
 HTable::HTable(storage::Env* env, std::string root_path, TableSchema schema,
@@ -231,6 +245,7 @@ Status HTable::LoadTableMeta() {
   }
   std::vector<std::string> stored_families;
   std::string stored_name;
+  std::map<std::string, uint64_t> layout;  // Region start key -> id.
   for (size_t i = 1; i < lines.size(); ++i) {
     if (lines[i].empty()) continue;
     const size_t space = lines[i].find(' ');
@@ -244,51 +259,22 @@ Status HTable::LoadTableMeta() {
     } else if (tag == "family") {
       stored_families.push_back(rest);
     } else if (tag == "clock") {
-      logical_clock_ = std::strtoull(rest.c_str(), nullptr, 10);
+      PSTORM_ASSIGN_OR_RETURN(const uint64_t clock, ParseMetaNumber(rest));
+      logical_clock_ = clock;
     } else if (tag == "next_region") {
-      next_region_id_ = std::strtoull(rest.c_str(), nullptr, 10);
+      PSTORM_ASSIGN_OR_RETURN(next_region_id_, ParseMetaNumber(rest));
     } else if (tag == "region") {
       const std::vector<std::string> parts = StrSplit(rest, ' ');
       if (parts.empty() || parts.size() > 2) {
         return Status::Corruption("bad region line");
       }
-      const uint64_t id = std::strtoull(parts[0].c_str(), nullptr, 10);
+      PSTORM_ASSIGN_OR_RETURN(const uint64_t id, ParseMetaNumber(parts[0]));
       PSTORM_ASSIGN_OR_RETURN(
           std::string start_key,
           HexDecode(parts.size() == 2 ? parts[1] : ""));
-      const std::string region_path =
-          storage::JoinPath(root_path_, "region_" + std::to_string(id));
-      auto region = internal::Region::Open(env_, region_path, start_key, id,
-                                           options_.db_options);
-      if (!region.ok() && region.status().IsCorruption()) {
-        // The region's own manifest is rotten (single bad sstables are
-        // quarantined inside Db::Open and do not land here). Losing one
-        // region's rows degrades the matcher to No Match Found; losing the
-        // whole table would take PStorM down. Quarantine the region's
-        // files and recover it empty, keeping the key-space cover intact.
-        const std::string diagnosis =
-            "region_" + std::to_string(id) + ": " +
-            region.status().ToString();
-        PSTORM_LOG(Warning) << "htable " << root_path_
-                            << ": recovering unreadable region empty ("
-                            << diagnosis << ")";
-        if (auto files = env_->ListDir(region_path); files.ok()) {
-          for (const std::string& name : files.value()) {
-            (void)env_->RenameFile(
-                storage::JoinPath(region_path, name),
-                storage::JoinPath(region_path, name + ".quarantine"));
-          }
-        }
-        region_open_errors_.push_back(diagnosis);
-        obs::MetricsRegistry::Global()
-            .GetCounter("pstorm_hstore_regions_recovered_total")
-            .Increment();
-        region = internal::Region::Open(env_, region_path,
-                                        std::move(start_key), id,
-                                        options_.db_options);
+      if (!layout.emplace(std::move(start_key), id).second) {
+        return Status::Corruption("table meta repeats a region start key");
       }
-      if (!region.ok()) return region.status();
-      regions_.push_back(std::move(region).value());
     } else {
       return Status::Corruption("unknown table meta tag: " + tag);
     }
@@ -297,11 +283,58 @@ Status HTable::LoadTableMeta() {
     return Status::FailedPrecondition(
         "schema mismatch: HBase column families are fixed at table creation");
   }
-  if (regions_.empty()) return Status::Corruption("table meta has no regions");
-  std::sort(regions_.begin(), regions_.end(),
-            [](const auto& a, const auto& b) {
-              return a->start_key() < b->start_key();
-            });
+  // The regions must cover the key space from "", each under an id of its
+  // own below next_region: RegionForLocked assumes the first, and a shared
+  // id would put two regions on one Db directory.
+  if (layout.empty()) return Status::Corruption("table meta has no regions");
+  if (!layout.begin()->first.empty()) {
+    return Status::Corruption("table meta's first region starts above \"\"");
+  }
+  std::set<uint64_t> ids;
+  for (const auto& [start_key, id] : layout) {
+    if (!ids.insert(id).second) {
+      return Status::Corruption("table meta repeats a region id");
+    }
+    if (id >= next_region_id_) {
+      return Status::Corruption(
+          "table meta's next_region is not above every region id");
+    }
+  }
+
+  for (const auto& [start_key, id] : layout) {
+    const std::string region_path =
+        storage::JoinPath(root_path_, "region_" + std::to_string(id));
+    auto region = internal::Region::Open(env_, region_path, start_key, id,
+                                         options_.db_options);
+    if (!region.ok() && region.status().IsCorruption()) {
+      // The region's own manifest is rotten (single bad sstables are
+      // quarantined inside Db::Open and do not land here). Losing one
+      // region's rows degrades the matcher to No Match Found; losing the
+      // whole table would take PStorM down. Quarantine the region's
+      // files and recover it empty, keeping the key-space cover intact.
+      const std::string diagnosis =
+          "region_" + std::to_string(id) + ": " +
+          region.status().ToString();
+      PSTORM_LOG(Warning) << "htable " << root_path_
+                          << ": recovering unreadable region empty ("
+                          << diagnosis << ")";
+      if (auto files = env_->ListDir(region_path); files.ok()) {
+        for (const std::string& name : files.value()) {
+          (void)env_->RenameFile(
+              storage::JoinPath(region_path, name),
+              storage::JoinPath(region_path, name + ".quarantine"));
+        }
+      }
+      region_open_errors_.push_back(diagnosis);
+      obs::MetricsRegistry::Global()
+          .GetCounter("pstorm_hstore_regions_recovered_total")
+          .Increment();
+      region = internal::Region::Open(env_, region_path, start_key, id,
+                                      options_.db_options);
+    }
+    if (!region.ok()) return region.status();
+    regions_.push_back(std::move(region).value());
+  }
   // The meta's clock may be stale (it is only rewritten on region changes);
   // re-derive it from the newest stored timestamp so versions keep moving
   // forward after a reopen.

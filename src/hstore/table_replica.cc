@@ -1,5 +1,6 @@
 #include "hstore/table_replica.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -8,6 +9,18 @@
 namespace pstorm::hstore {
 
 namespace {
+
+/// Rounds Sync() runs while the primary's region layout keeps changing
+/// under it before giving up for this call.
+constexpr int kMaxMetaRefreshRounds = 4;
+
+bool SameRegions(const HTable::ReplicationSnapshot& a,
+                 const HTable::ReplicationSnapshot& b) {
+  return std::equal(a.regions.begin(), a.regions.end(), b.regions.begin(),
+                    b.regions.end(), [](const auto& x, const auto& y) {
+                      return x.dir_name == y.dir_name;
+                    });
+}
 
 obs::Counter& TableMetaShips() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
@@ -18,21 +31,19 @@ obs::Counter& TableMetaShips() {
 }  // namespace
 
 HTableReplica::HTableReplica(HTable* primary, storage::Env* follower_env,
-                             std::string follower_root, Options options)
+                             std::string follower_root)
     : primary_(primary),
       follower_env_(follower_env),
-      follower_root_(std::move(follower_root)),
-      options_(std::move(options)) {}
+      follower_root_(std::move(follower_root)) {}
 
 HTableReplica::~HTableReplica() = default;
 
 Result<std::unique_ptr<HTableReplica>> HTableReplica::Open(
-    HTable* primary, storage::Env* follower_env, std::string follower_root,
-    Options options) {
+    HTable* primary, storage::Env* follower_env, std::string follower_root) {
   PSTORM_CHECK(primary != nullptr);
   PSTORM_CHECK(follower_env != nullptr);
-  auto replica = std::unique_ptr<HTableReplica>(new HTableReplica(
-      primary, follower_env, std::move(follower_root), options));
+  auto replica = std::unique_ptr<HTableReplica>(
+      new HTableReplica(primary, follower_env, std::move(follower_root)));
   PSTORM_RETURN_IF_ERROR(
       follower_env->CreateDir(replica->follower_root_));
   PSTORM_RETURN_IF_ERROR(replica->Sync());
@@ -49,40 +60,39 @@ Status HTableReplica::Sync() {
 
 Status HTableReplica::SyncLocked() {
   // A split can land between snapshotting the region list and finishing
-  // the per-region catch-up; publishing the old snapshot's meta then would
-  // be fine (it lists only synced regions), but we would miss the new
-  // region until the next Sync. Re-snapshot and go again while the layout
-  // keeps moving, bounded so a split storm cannot wedge the caller.
+  // the per-region catch-up. Then the snapshot's meta lacks the new
+  // region, so re-snapshot and sync again while the layout keeps moving,
+  // bounded so a split storm cannot wedge the caller. Only a snapshot
+  // whose every region has caught up is shipped.
   HTable::ReplicationSnapshot snap = primary_->GetReplicationSnapshot();
-  for (int round = 0; round < options_.max_meta_refresh_rounds; ++round) {
+  for (int round = 0; round < kMaxMetaRefreshRounds; ++round) {
     for (const auto& region : snap.regions) {
       auto it = sessions_.find(region.dir_name);
       if (it == sessions_.end()) {
-        storage::ReplicaSession::Options session_options;
-        session_options.follower_db = options_.follower_db;
-        session_options.replication = options_.replication;
         PSTORM_ASSIGN_OR_RETURN(
             auto session,
             storage::ReplicaSession::Open(
                 region.db, follower_env_,
-                storage::JoinPath(follower_root_, region.dir_name),
-                session_options));
+                storage::JoinPath(follower_root_, region.dir_name)));
         it = sessions_.emplace(region.dir_name, std::move(session)).first;
       }
       PSTORM_RETURN_IF_ERROR(it->second->CatchUp());
     }
     HTable::ReplicationSnapshot after = primary_->GetReplicationSnapshot();
-    if (after.table_meta == snap.table_meta) break;
+    if (SameRegions(snap, after)) {
+      // Every region the meta lists has a caught-up session, so the
+      // follower root is openable the moment this lands. WriteFile is
+      // atomic, so a crash here leaves the previous meta intact.
+      PSTORM_RETURN_IF_ERROR(follower_env_->WriteFile(
+          storage::JoinPath(follower_root_, "TABLEMETA"), snap.table_meta));
+      TableMetaShips().Increment();
+      return Status::OK();
+    }
     snap = std::move(after);
   }
-  // Ship the meta matching the regions just synced. Every region it lists
-  // has a session (snap only grows across rounds), so the follower root is
-  // openable the moment this lands. WriteFile is atomic, so a crash here
-  // leaves the previous meta intact.
-  PSTORM_RETURN_IF_ERROR(follower_env_->WriteFile(
-      storage::JoinPath(follower_root_, "TABLEMETA"), snap.table_meta));
-  TableMetaShips().Increment();
-  return Status::OK();
+  return Status::Internal(
+      "htable replica: region layout changed in every sync round; previous "
+      "TABLEMETA kept");
 }
 
 Status HTableReplica::Promote() {

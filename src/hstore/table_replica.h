@@ -24,33 +24,20 @@ namespace pstorm::hstore {
 /// row-atomic HBase table gives — nothing spans regions). Within a region
 /// the follower is always a committed prefix of the primary.
 ///
-/// TABLEMETA is shipped only after every region it lists has been synced,
-/// and is re-checked against a fresh snapshot so a split landing mid-sync
-/// is retried rather than published half-applied. A primary that dies
-/// mid-split can still leave the moved rows in both source and target
-/// region on the follower until the next successful Sync (see DESIGN.md
-/// §11 failure matrix); the row-level merge resolves duplicates by
-/// timestamp, so reads stay correct.
-struct HTableReplicaOptions {
-  /// Knobs for each follower region Db (read_only_replica is forced on
-  /// by the per-region ReplicaSession).
-  storage::DbOptions follower_db;
-  storage::ReplicationOptions replication;
-  /// Rounds Sync() retries when the primary's region set keeps changing
-  /// under it before giving up for this round.
-  int max_meta_refresh_rounds = 4;
-};
-
+/// TABLEMETA is shipped only once every region it lists has caught up: a
+/// split landing mid-sync is synced too, and a region layout still moving
+/// after 4 rounds fails the Sync and keeps the previous TABLEMETA.
+/// A primary that dies mid-split can still leave the moved rows in both
+/// source and target region on the follower until the next successful Sync
+/// (see DESIGN.md §11 failure matrix); the row-level merge resolves
+/// duplicates by timestamp, so reads stay correct.
 class HTableReplica {
  public:
-  using Options = HTableReplicaOptions;
-
   /// Wires a standby rooted at `follower_root` in `follower_env` to
   /// `primary`. All pointees must outlive the replica. Performs an
   /// initial Sync so the follower is openable immediately after.
   static Result<std::unique_ptr<HTableReplica>> Open(
-      HTable* primary, storage::Env* follower_env, std::string follower_root,
-      Options options = {});
+      HTable* primary, storage::Env* follower_env, std::string follower_root);
 
   ~HTableReplica();
 
@@ -59,7 +46,9 @@ class HTableReplica {
 
   /// One full replication round: discover regions (including splits since
   /// the last round), catch every region's follower up to the primary,
-  /// then ship the TABLEMETA those regions correspond to.
+  /// then ship the TABLEMETA those regions correspond to. Internal, with
+  /// the previous TABLEMETA kept, when the region layout changed in each
+  /// of 4 rounds; the next Sync picks up from there.
   Status Sync();
 
   /// Fences and promotes every region follower (epoch bump persisted in
@@ -77,14 +66,13 @@ class HTableReplica {
 
  private:
   HTableReplica(HTable* primary, storage::Env* follower_env,
-                std::string follower_root, Options options);
+                std::string follower_root);
 
   Status SyncLocked();
 
   HTable* primary_;
   storage::Env* follower_env_;
   const std::string follower_root_;
-  Options options_;
 
   mutable std::mutex mu_;
   /// Keyed by region directory name ("region_<id>"). Sessions are only

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/coding.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
@@ -329,34 +328,18 @@ Status Db::Write(const WriteBatch& batch, bool sync) {
   // been appended and (when any writer of the group asks) synced, so it
   // survives a power loss. The whole group goes down in one append and at
   // most one sync, the point of the group commit.
-  WalSegment group;
+  std::string group;
   bool group_sync = false;
   uint64_t sequence = base_sequence;
   for (size_t i = 0; i < group_size; ++i) {
     group_sync |= writers_[i]->sync;
     for (const WriteBatch::Op& op : writers_[i]->batch->ops_) {
-      const std::string frame =
-          EncodeWalRecord(++sequence, op.type, op.key, op.value);
-      group.records.push_back(WalRecordRef{sequence,
-                                           DecodeFixed32(frame.data() + 4),
-                                           group.raw.size(), frame.size()});
-      group.raw += frame;
+      group += EncodeWalRecord(++sequence, op.type, op.key, op.value);
     }
   }
-  // Copied under the lock; SetCommitListener waits out in-flight batches,
-  // so the pointee outlives this call even though the lock drops.
-  CommitListener* const listener = commit_listener_;
-  const uint64_t commit_epoch = epoch_.load(std::memory_order_relaxed);
   batch_in_flight_ = true;
   writer_lock.unlock();
-  Status s = wal_.AppendBatch(group.raw, group_sync);
-  Status ship;
-  if (s.ok() && listener != nullptr) {
-    // Sync replication hook, after the sync. The records are in the local
-    // log either way; a ship failure is reported to the writers (see
-    // CommitListener docs).
-    ship = listener->OnCommit(commit_epoch, group);
-  }
+  Status s = wal_.AppendBatch(group, group_sync);
   writer_lock.lock();
   batch_in_flight_ = false;
   if (!s.ok()) {
@@ -384,10 +367,7 @@ Status Db::Write(const WriteBatch& batch, bool sync) {
     }
   }
   last_sequence_.store(sequence, std::memory_order_release);
-  // Locally committed but possibly not replicated: surface the ship error
-  // to every writer in the batch.
-  AckGroupLocked(group_size, ship);
-  if (!ship.ok()) return ship;
+  AckGroupLocked(group_size, Status::OK());
   return MaybeFlushLocked();
 }
 
@@ -982,14 +962,6 @@ Status Db::PromoteToPrimary() {
   replica_.store(false, std::memory_order_release);
   PSTORM_LOG(Info) << "db " << path_ << ": promoted to primary at epoch "
                    << (old_epoch + 1);
-  return Status::OK();
-}
-
-Status Db::SetCommitListener(CommitListener* listener) {
-  // LockWriterForMaintenance waits out any in-flight batch, including its
-  // OnCommit call: after return the old listener is never invoked again.
-  std::unique_lock<std::mutex> writer_lock = LockWriterForMaintenance();
-  commit_listener_ = listener;
   return Status::OK();
 }
 

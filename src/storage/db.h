@@ -167,23 +167,6 @@ struct DbCheckpoint {
 /// Lock order: writer_mu_ -> state_mu_ (never the reverse).
 class Db {
  public:
-  /// Observes every committed write batch, synchronously, from the
-  /// committing (group-commit leader) thread — the hook sync replication
-  /// uses to ship a batch before the writer is acked. Called once the
-  /// batch is appended to the local WAL and the sync has returned, with
-  /// writer_mu_ *released* but the batch still logically in flight (it is
-  /// applied to the memtable and last_sequence advanced right after,
-  /// regardless of the listener's verdict): the callback must not call
-  /// back into this Db's write or maintenance API (Put, Flush,
-  /// FetchWalSince, ...) or it deadlocks. A non-OK return is propagated to
-  /// every writer in the batch — the records remain in the local log; see
-  /// DESIGN.md §11 on this ambiguity window.
-  class CommitListener {
-   public:
-    virtual ~CommitListener() = default;
-    virtual Status OnCommit(uint64_t epoch, const WalSegment& batch) = 0;
-  };
-
   /// Opens (or creates) a database rooted at `path` inside `env`, which
   /// must outlive the Db. Recovery sequence: load the manifest
   /// (quarantining any unreadable sstable instead of failing the open),
@@ -210,8 +193,7 @@ class Db {
   /// not applied and the Db refuses every later Write, ApplyReplicated,
   /// Flush and CompactAll with that error until it is reopened: the log
   /// may end in a torn frame, and a record appended behind it would be
-  /// lost to replay. A commit listener's error still applies the batch
-  /// (it is in the synced log) and leaves the Db writable.
+  /// lost to replay.
   Status Write(const WriteBatch& batch, bool sync = true);
 
   /// NotFound if the key is absent or deleted. Safe to call concurrently
@@ -297,12 +279,6 @@ class Db {
   /// in the manifest, then drops replica mode. Idempotent on a primary.
   /// On failure the Db stays a replica at its old epoch (safe to retry).
   Status PromoteToPrimary();
-
-  /// Registers (or, with nullptr, removes) the commit hook. Waits out any
-  /// in-flight batch, so after return the old listener is never called
-  /// again and the new one sees every subsequent batch. One listener at a
-  /// time.
-  Status SetCommitListener(CommitListener* listener);
 
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
   uint64_t last_sequence() const {
@@ -418,9 +394,9 @@ class Db {
   Status write_error_;
   /// Group-commit state, guarded by writer_mu_. The front writer is the
   /// leader; batch_in_flight_ is true while it has writer_mu_ released for
-  /// the batch's WAL append, sync and commit listener — Flush/CompactAll
-  /// must wait it out before touching the memtable or truncating the log,
-  /// or an acked-but-unapplied batch could be lost.
+  /// the batch's WAL append and sync — Flush/CompactAll must wait it out
+  /// before touching the memtable or truncating the log, or an
+  /// acked-but-unapplied batch could be lost.
   std::deque<Writer*> writers_;
   std::condition_variable writers_cv_;
   bool batch_in_flight_ = false;
@@ -439,10 +415,6 @@ class Db {
   std::atomic<uint64_t> epoch_{1};
   /// True while in replica mode (client writes fenced).
   std::atomic<bool> replica_{false};
-  /// Guarded by writer_mu_; the leader copies it to a local before
-  /// releasing the mutex for the batch IO, and SetCommitListener waits out
-  /// in-flight batches, so the pointee outlives every call.
-  CommitListener* commit_listener_ = nullptr;
 
   /// Guards the reader-visible state below. Readers hold it shared only
   /// while probing the memtable and pinning current_; writers hold it

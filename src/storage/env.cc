@@ -138,8 +138,12 @@ Status SyncFd(int fd, bool data_only, const std::string& name,
 /// Makes the directory entries of `path`'s parent durable: a created or
 /// renamed file's name survives a power loss only once this returns.
 Status SyncParentDir(const std::string& path) {
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
+  // No literal is assigned to the string: GCC 12 raises a false -Wrestrict
+  // on that at -O3.
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  const std::string dir =
+      parent.empty() ? std::string(1, '.') : parent.string();
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) return Status::IoError("open directory: " + dir);
   const Status s = SyncFd(fd, /*data_only=*/false, dir);

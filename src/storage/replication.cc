@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,6 +11,22 @@
 namespace pstorm::storage {
 
 namespace {
+
+/// Largest number of records one ship round moves (bounds memory and the
+/// follower's per-batch apply latency).
+constexpr size_t kMaxBatchRecords = 1024;
+/// Transient-IoError retry policy of the fetch and checkpoint loops: up to
+/// kMaxRetries retries with jittered exponential backoff from
+/// kRetryBackoffMicros, capped at kRetryBackoffMaxMicros.
+constexpr int kMaxRetries = 5;
+constexpr uint64_t kRetryBackoffMicros = 200;
+constexpr uint64_t kRetryBackoffMaxMicros = 50000;
+constexpr uint64_t kRetrySeed = 0;
+/// How many recently applied (sequence, checksum) pairs the applier keeps
+/// for divergence detection on overlapping re-ships.
+constexpr size_t kDivergenceWindow = 1024;
+/// Checkpoint bootstraps one CatchUp may run before giving up.
+constexpr int kMaxBootstrapsPerCatchUp = 4;
 
 obs::Counter& ShippedBatches() {
   static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
@@ -53,22 +70,39 @@ obs::Histogram& LagRecordsHist() {
   return h;
 }
 
-/// Jittered capped exponential backoff shared by the fetch and checkpoint
-/// retry loops: half the window fixed, half random, never zero-delay when a
-/// backoff is configured.
-uint64_t NextBackoff(uint64_t* backoff, uint64_t max_micros, Rng* rng) {
-  const uint64_t capped = std::min(*backoff, max_micros);
-  *backoff = std::min(*backoff * 2, max_micros);
-  return capped / 2 + rng->NextUint64(capped / 2 + 1);
+/// Runs `attempt` until it returns OK or a non-IoError status (fencing,
+/// corruption: the caller's decision), retrying a transient IoError up to
+/// kMaxRetries times. Each retry counts in `*retries` and the global
+/// metric, then sleeps a jittered capped exponential backoff: half the
+/// window fixed, half random.
+template <typename Counter, typename Attempt>
+auto RetryIoErrors(const char* what, Rng* rng, Counter* retries,
+                   Attempt attempt) -> decltype(attempt()) {
+  auto result = attempt();
+  uint64_t backoff = kRetryBackoffMicros;
+  for (int retry = 1; !result.ok() && result.status().IsIoError() &&
+                      retry <= kMaxRetries;
+       ++retry) {
+    ++*retries;
+    ShipRetries().Increment();
+    const uint64_t window = backoff;
+    backoff = std::min(backoff * 2, kRetryBackoffMaxMicros);
+    const uint64_t sleep_micros = window / 2 + rng->NextUint64(window / 2 + 1);
+    PSTORM_LOG(Warning) << "replication: " << what << " failed ("
+                        << result.status().ToString() << "); retry " << retry
+                        << "/" << kMaxRetries << " in " << sleep_micros
+                        << "us";
+    std::this_thread::sleep_for(std::chrono::microseconds(sleep_micros));
+    result = attempt();
+  }
+  return result;
 }
 
 }  // namespace
 
 // --- WalApplier -----------------------------------------------------------
 
-WalApplier::WalApplier(Db* follower, size_t divergence_window)
-    : follower_(follower),
-      divergence_window_(divergence_window == 0 ? 1 : divergence_window) {
+WalApplier::WalApplier(Db* follower) : follower_(follower) {
   PSTORM_CHECK(follower_ != nullptr);
 }
 
@@ -137,56 +171,27 @@ Status WalApplier::Apply(uint64_t primary_epoch, const WalSegment& segment) {
   }
   for (const WalRecordRef& ref : fresh.records) {
     recent_.push_back(WalRecordRef{ref.sequence, ref.checksum, 0, 0});
-    if (recent_.size() > divergence_window_) recent_.pop_front();
+    if (recent_.size() > kDivergenceWindow) recent_.pop_front();
   }
   return Status::OK();
 }
 
 // --- WalShipper -----------------------------------------------------------
 
-WalShipper::WalShipper(Db* primary, WalApplier* applier,
-                       const ReplicationOptions& options, StopLatch* stop)
-    : primary_(primary),
-      applier_(applier),
-      options_(options),
-      stop_(stop != nullptr ? stop : &own_stop_),
-      rng_(options.retry_seed) {
+WalShipper::WalShipper(Db* primary, WalApplier* applier)
+    : primary_(primary), applier_(applier), rng_(kRetrySeed) {
   PSTORM_CHECK(primary_ != nullptr);
   PSTORM_CHECK(applier_ != nullptr);
-}
-
-Result<Db::ShipBatch> WalShipper::FetchWithRetries(uint64_t from_sequence) {
-  uint64_t backoff = options_.retry_backoff_micros;
-  for (int attempt = 0;; ++attempt) {
-    Result<Db::ShipBatch> batch = primary_->FetchWalSince(from_sequence);
-    if (batch.ok() || attempt >= options_.max_retries ||
-        !batch.status().IsIoError()) {
-      // Only transient (IoError) failures are worth retrying; everything
-      // else — fencing, corruption — is a decision for the caller.
-      return batch;
-    }
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    ShipRetries().Increment();
-    const uint64_t sleep_micros = NextBackoff(
-        &backoff, options_.retry_backoff_max_micros, &rng_);
-    PSTORM_LOG(Warning) << "replication: fetch from sequence "
-                        << from_sequence << " failed ("
-                        << batch.status().ToString() << "); retry "
-                        << (attempt + 1) << "/" << options_.max_retries
-                        << " in " << sleep_micros << "us";
-    if (stop_->WaitFor(sleep_micros)) {
-      // Teardown raced the backoff: surface the transient error instead of
-      // finishing the sleep (callers are shutting the replica down).
-      return batch;
-    }
-  }
 }
 
 Result<WalShipper::ShipOutcome> WalShipper::ShipOnce() {
   ship_rounds_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t from_sequence = applier_->applied_sequence() + 1;
-  PSTORM_ASSIGN_OR_RETURN(Db::ShipBatch batch,
-                          FetchWithRetries(from_sequence));
+  PSTORM_ASSIGN_OR_RETURN(
+      Db::ShipBatch batch,
+      RetryIoErrors("fetch", &rng_, &retries_, [&] {
+        return primary_->FetchWalSince(from_sequence);
+      }));
   ShipOutcome out;
   if (batch.need_checkpoint) {
     out.need_checkpoint = true;
@@ -196,10 +201,10 @@ Result<WalShipper::ShipOutcome> WalShipper::ShipOnce() {
     return out;
   }
   WalSegment segment = std::move(batch.segment);
-  if (segment.records.size() > options_.max_batch_records) {
-    const WalRecordRef& cut = segment.records[options_.max_batch_records];
+  if (segment.records.size() > kMaxBatchRecords) {
+    const WalRecordRef& cut = segment.records[kMaxBatchRecords];
     segment.raw.resize(cut.offset);
-    segment.records.resize(options_.max_batch_records);
+    segment.records.resize(kMaxBatchRecords);
   }
   // Apply even when empty: an empty round still forwards the primary's
   // epoch (heartbeat fencing keeps an idle follower's fence fresh).
@@ -225,7 +230,7 @@ Result<WalShipper::ShipOutcome> WalShipper::CatchUp() {
   while (true) {
     PSTORM_ASSIGN_OR_RETURN(ShipOutcome out, ShipOnce());
     if (out.need_checkpoint) return out;
-    if (out.lag <= options_.max_lag_records) return out;
+    if (out.lag == 0) return out;
     if (out.shipped_records == 0) return out;  // No more progress possible.
   }
 }
@@ -233,33 +238,30 @@ Result<WalShipper::ShipOutcome> WalShipper::CatchUp() {
 // --- ReplicaSession -------------------------------------------------------
 
 ReplicaSession::ReplicaSession(Db* primary, Env* follower_env,
-                               std::string follower_path, Options options)
+                               std::string follower_path,
+                               DbOptions follower_options)
     : primary_(primary),
       follower_env_(follower_env),
       follower_path_(std::move(follower_path)),
-      options_(std::move(options)) {}
+      follower_options_(std::move(follower_options)) {}
 
 Result<std::unique_ptr<ReplicaSession>> ReplicaSession::Open(
     Db* primary, Env* follower_env, std::string follower_path,
-    Options options) {
+    DbOptions follower_options) {
   PSTORM_CHECK(primary != nullptr);
   PSTORM_CHECK(follower_env != nullptr);
   // The whole point of a warm standby is taking writes only from the
   // primary's log.
-  options.follower_db.read_only_replica = true;
-  auto session = std::unique_ptr<ReplicaSession>(new ReplicaSession(
-      primary, follower_env, std::move(follower_path), std::move(options)));
+  follower_options.read_only_replica = true;
+  auto session = std::unique_ptr<ReplicaSession>(
+      new ReplicaSession(primary, follower_env, std::move(follower_path),
+                         std::move(follower_options)));
   std::lock_guard<std::mutex> lock(session->session_mu_);
-  Result<std::unique_ptr<Db>> follower = Db::Open(
-      follower_env, session->follower_path_, session->options_.follower_db);
+  Result<std::unique_ptr<Db>> follower =
+      Db::Open(follower_env, session->follower_path_,
+               session->follower_options_);
   if (follower.ok()) {
-    session->follower_ = std::move(follower).value();
-    session->applier_ = std::make_unique<WalApplier>(
-        session->follower_.get(),
-        session->options_.replication.divergence_window);
-    session->shipper_ = std::make_unique<WalShipper>(
-        primary, session->applier_.get(), session->options_.replication,
-        &session->stop_latch_);
+    session->AttachLocked(std::move(follower).value());
   } else {
     // E.g. a corrupt manifest after a crashed install: rebuild the
     // follower from a fresh checkpoint instead of failing the session.
@@ -271,25 +273,22 @@ Result<std::unique_ptr<ReplicaSession>> ReplicaSession::Open(
   return session;
 }
 
-ReplicaSession::~ReplicaSession() {
-  StopTailing();
-  std::lock_guard<std::mutex> lock(session_mu_);
-  if (sync_enabled_) {
-    (void)primary_->SetCommitListener(nullptr);
-    sync_enabled_ = false;
-  }
+void ReplicaSession::AttachLocked(std::unique_ptr<Db> follower) {
+  follower_ = std::move(follower);
+  applier_ = std::make_unique<WalApplier>(follower_.get());
+  shipper_ = std::make_unique<WalShipper>(primary_, applier_.get());
 }
 
 Status ReplicaSession::BootstrapLocked() {
-  // Sync mode: detach the forwarder FIRST. SetCommitListener waits out any
-  // in-flight batch (including its OnCommit into our applier), so after
-  // this no commit can race the teardown below.
-  if (sync_enabled_) {
-    PSTORM_RETURN_IF_ERROR(primary_->SetCommitListener(nullptr));
-  }
+  Rng backoff_rng(kRetrySeed + 1);
+  PSTORM_ASSIGN_OR_RETURN(
+      DbCheckpoint checkpoint,
+      RetryIoErrors("checkpoint", &backoff_rng, &checkpoint_retry_count_,
+                    [&] { return primary_->Checkpoint(); }));
 
-  // Fold the about-to-be-recreated components' counters into the session
-  // accumulators so stats() survives bootstraps.
+  // Close before install: InstallCheckpoint rewrites the directory under
+  // the Db's feet otherwise. Fold the closed components' counters into the
+  // session accumulators first, so stats() survives bootstraps.
   if (shipper_ != nullptr) {
     base_.ship_rounds += shipper_->ship_rounds();
     base_.shipped_batches += shipper_->shipped_batches();
@@ -307,59 +306,37 @@ Status ReplicaSession::BootstrapLocked() {
     base_.applied_batches += fs.replicated_batches;
     base_.applied_records += fs.replicated_records;
   }
-
-  Rng backoff_rng(options_.replication.retry_seed + 1);
-  uint64_t backoff = options_.replication.retry_backoff_micros;
-  Result<DbCheckpoint> checkpoint = primary_->Checkpoint();
-  for (int attempt = 0;
-       !checkpoint.ok() && checkpoint.status().IsIoError() &&
-       attempt < options_.replication.max_retries;
-       ++attempt) {
-    ++checkpoint_retry_count_;
-    ShipRetries().Increment();
-    const uint64_t sleep_micros = NextBackoff(
-        &backoff, options_.replication.retry_backoff_max_micros,
-        &backoff_rng);
-    PSTORM_LOG(Warning) << "replica session: checkpoint failed ("
-                        << checkpoint.status().ToString() << "); retry "
-                        << (attempt + 1) << "/"
-                        << options_.replication.max_retries << " in "
-                        << sleep_micros << "us";
-    if (stop_latch_.WaitFor(sleep_micros)) break;  // Teardown in progress.
-    checkpoint = primary_->Checkpoint();
-  }
-  if (!checkpoint.ok()) return checkpoint.status();
-
-  // Close before install: InstallCheckpoint rewrites the directory under
-  // the Db's feet otherwise.
   shipper_.reset();
   applier_.reset();
   follower_.reset();
-  PSTORM_RETURN_IF_ERROR(Db::InstallCheckpoint(
-      follower_env_, follower_path_, checkpoint.value()));
-  Result<std::unique_ptr<Db>> reopened =
-      Db::Open(follower_env_, follower_path_, options_.follower_db);
-  if (!reopened.ok()) return reopened.status();
-  follower_ = std::move(reopened).value();
-  applier_ = std::make_unique<WalApplier>(
-      follower_.get(), options_.replication.divergence_window);
-  shipper_ = std::make_unique<WalShipper>(primary_, applier_.get(),
-                                          options_.replication, &stop_latch_);
+  // From here until the reopen succeeds the session has no follower; the
+  // next round (PrepareRoundLocked) bootstraps again.
+  PSTORM_RETURN_IF_ERROR(
+      Db::InstallCheckpoint(follower_env_, follower_path_, checkpoint));
+  PSTORM_ASSIGN_OR_RETURN(
+      std::unique_ptr<Db> reopened,
+      Db::Open(follower_env_, follower_path_, follower_options_));
+  AttachLocked(std::move(reopened));
   ++checkpoint_ships_;
   CheckpointShips().Increment();
   PSTORM_LOG(Info) << "replica session: bootstrapped " << follower_path_
-                   << " from checkpoint (epoch "
-                   << checkpoint.value().epoch << ", flushed sequence "
-                   << checkpoint.value().flushed_sequence << ")";
-
-  if (sync_enabled_) {
-    forwarder_ = std::make_unique<SyncForwarder>(applier_.get());
-    PSTORM_RETURN_IF_ERROR(primary_->SetCommitListener(forwarder_.get()));
-  }
+                   << " from checkpoint (epoch " << checkpoint.epoch
+                   << ", flushed sequence " << checkpoint.flushed_sequence
+                   << ")";
   return Status::OK();
 }
 
-Status ReplicaSession::TickLocked() {
+Status ReplicaSession::PrepareRoundLocked() {
+  if (promoted_) {
+    return Status::FailedPrecondition("replica session already promoted");
+  }
+  if (follower_ == nullptr) return BootstrapLocked();
+  return Status::OK();
+}
+
+Status ReplicaSession::TickOnce() {
+  std::lock_guard<std::mutex> lock(session_mu_);
+  PSTORM_RETURN_IF_ERROR(PrepareRoundLocked());
   Result<WalShipper::ShipOutcome> outcome = shipper_->ShipOnce();
   PSTORM_RETURN_IF_ERROR(outcome.status());
   if (outcome.value().need_checkpoint) {
@@ -371,25 +348,16 @@ Status ReplicaSession::TickLocked() {
   return Status::OK();
 }
 
-Status ReplicaSession::TickOnce() {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  const Status s = TickLocked();
-  last_tail_error_ = s;
-  return s;
-}
-
 Status ReplicaSession::CatchUp() {
   std::lock_guard<std::mutex> lock(session_mu_);
+  PSTORM_RETURN_IF_ERROR(PrepareRoundLocked());
   // A bootstrap can be demanded at most once per pass in practice (the
   // fresh checkpoint covers everything flushed); the bound is paranoia
   // against a primary flushing between rounds every time.
-  for (int attempt = 0; attempt < 4; ++attempt) {
+  for (int attempt = 0; attempt < kMaxBootstrapsPerCatchUp; ++attempt) {
     Result<WalShipper::ShipOutcome> outcome = shipper_->CatchUp();
     PSTORM_RETURN_IF_ERROR(outcome.status());
-    if (!outcome.value().need_checkpoint) {
-      last_tail_error_ = Status::OK();
-      return Status::OK();
-    }
+    if (!outcome.value().need_checkpoint) return Status::OK();
     PSTORM_RETURN_IF_ERROR(BootstrapLocked());
   }
   return Status::Internal(
@@ -397,77 +365,20 @@ Status ReplicaSession::CatchUp() {
       "faster than the follower can bootstrap");
 }
 
-Status ReplicaSession::Rebootstrap() {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  return BootstrapLocked();
-}
-
-Status ReplicaSession::EnableSyncCommit() {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  if (sync_enabled_) return Status::OK();
-  // Listener first, then heal: with the forwarder registered no further
-  // batch can be missed, and the CatchUp below closes the gap behind any
-  // batch that committed before registration. A batch interleaving between
-  // the two steps arrives gapped, fails its writers once with
-  // InvalidArgument, and is healed by the same CatchUp (or the next tick).
-  forwarder_ = std::make_unique<SyncForwarder>(applier_.get());
-  PSTORM_RETURN_IF_ERROR(primary_->SetCommitListener(forwarder_.get()));
-  sync_enabled_ = true;
-  Result<WalShipper::ShipOutcome> outcome = shipper_->CatchUp();
-  PSTORM_RETURN_IF_ERROR(outcome.status());
-  if (outcome.value().need_checkpoint) {
-    PSTORM_RETURN_IF_ERROR(BootstrapLocked());
-  }
-  return Status::OK();
-}
-
-Status ReplicaSession::DisableSyncCommit() {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  if (!sync_enabled_) return Status::OK();
-  PSTORM_RETURN_IF_ERROR(primary_->SetCommitListener(nullptr));
-  sync_enabled_ = false;
-  forwarder_.reset();
-  return Status::OK();
-}
-
-void ReplicaSession::StartTailing(uint64_t poll_micros) {
-  if (tailing_.exchange(true)) return;
-  stop_latch_.Reset();
-  tail_thread_ = std::thread([this, poll_micros] {
-    while (!stop_latch_.stopped()) {
-      // Errors are remembered in last_tail_error_ and retried next tick;
-      // the tailer itself never dies.
-      (void)TickOnce();
-      // Interruptible poll sleep: StopTailing wakes it instead of waiting
-      // out the interval.
-      if (stop_latch_.WaitFor(poll_micros)) break;
-    }
-  });
-}
-
-void ReplicaSession::StopTailing() {
-  if (!tailing_.load(std::memory_order_acquire)) return;
-  stop_latch_.Stop();
-  if (tail_thread_.joinable()) tail_thread_.join();
-  tailing_.store(false);
-}
-
 Result<std::unique_ptr<Db>> ReplicaSession::Promote() {
-  StopTailing();
   std::lock_guard<std::mutex> lock(session_mu_);
-  if (follower_ == nullptr) {
+  if (promoted_) {
     return Status::FailedPrecondition("replica session already promoted");
   }
-  if (sync_enabled_) {
-    // Requires the primary object to still be alive; an async session
-    // never touches the (possibly dead) primary here.
-    PSTORM_RETURN_IF_ERROR(primary_->SetCommitListener(nullptr));
-    sync_enabled_ = false;
-    forwarder_.reset();
+  if (follower_ == nullptr) {
+    // Rebuilding it needs the primary, which a failover must not count on.
+    return Status::FailedPrecondition(
+        "replica session has no follower: its last bootstrap failed");
   }
   PSTORM_RETURN_IF_ERROR(follower_->PromoteToPrimary());
   shipper_.reset();
   applier_.reset();
+  promoted_ = true;
   PSTORM_LOG(Info) << "replica session: promoted " << follower_path_
                    << " to primary at epoch " << follower_->epoch();
   return std::move(follower_);
@@ -475,9 +386,10 @@ Result<std::unique_ptr<Db>> ReplicaSession::Promote() {
 
 uint64_t ReplicaSession::lag() const {
   std::lock_guard<std::mutex> lock(session_mu_);
-  if (follower_ == nullptr) return 0;
+  if (promoted_) return 0;
   const uint64_t primary_last = primary_->last_sequence();
-  const uint64_t applied = follower_->last_sequence();
+  const uint64_t applied =
+      follower_ != nullptr ? follower_->last_sequence() : 0;
   return primary_last > applied ? primary_last - applied : 0;
 }
 
@@ -504,11 +416,6 @@ ReplicationStats ReplicaSession::stats() const {
   }
   out.checkpoint_ships = checkpoint_ships_;
   return out;
-}
-
-Status ReplicaSession::last_tail_error() const {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  return last_tail_error_;
 }
 
 }  // namespace pstorm::storage

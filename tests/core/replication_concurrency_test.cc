@@ -1,4 +1,5 @@
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,10 +18,12 @@
 namespace pstorm::core {
 namespace {
 
-/// Storage-level race: the async tail thread ships and applies while
-/// writer threads push group-commit batches and force WAL truncations under
-/// it. TSan runs this to prove the shipper/applier locking against the
-/// primary's writer and maintenance paths.
+/// Storage-level race: a tail thread looping TickOnce ships and applies
+/// while writer threads push group-commit batches and force WAL
+/// truncations under it. TSan runs this to prove the shipper/applier
+/// locking against the primary's writer and maintenance paths. The
+/// follower must make progress while the writes go on, and converge on the
+/// primary once they stop.
 TEST(ReplicationConcurrencyTest, AsyncTailThreadRacesConcurrentWriters) {
   storage::InMemoryEnv primary_env;
   storage::InMemoryEnv follower_env;
@@ -28,11 +31,26 @@ TEST(ReplicationConcurrencyTest, AsyncTailThreadRacesConcurrentWriters) {
   auto session =
       storage::ReplicaSession::Open(primary.get(), &follower_env, "/f");
   ASSERT_TRUE(session.ok()) << session.status();
-  (*session)->StartTailing(50);
+  std::atomic<bool> done{false};
+  std::atomic<int> tick_errors{0};
+  std::thread tailer([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      if (!(*session)->TickOnce().ok()) {
+        tick_errors.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  // Whether the standby has received anything yet: a shipped record or a
+  // checkpoint bootstrap.
+  auto follower_moved = [&] {
+    const storage::ReplicationStats stats = (*session)->stats();
+    return stats.applied_records + stats.checkpoint_ships > 0;
+  };
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50;
   std::atomic<int> errors{0};
+  std::atomic<bool> moved_mid_write{false};
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -42,17 +60,32 @@ TEST(ReplicationConcurrencyTest, AsyncTailThreadRacesConcurrentWriters) {
         if (!primary->Put(key, Numbered("v", j)).ok()) {
           errors.fetch_add(1, std::memory_order_relaxed);
         }
-        // One thread forces rotations so the tail races flush/truncate
+        // One thread forces flushes so the tail races flush/truncate
         // (and has to re-bootstrap when the log moves out from under it).
         if (t == 0 && j % 20 == 19 && !primary->Flush().ok()) {
           errors.fetch_add(1, std::memory_order_relaxed);
+        }
+        // Halfway through, this thread waits (bounded) for the tail to
+        // have moved something, so the follower provably follows the
+        // writes rather than only catching up after them.
+        if (t == 0 && j == kPerThread / 2) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          while (!follower_moved() &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          moved_mid_write.store(follower_moved());
         }
       }
     });
   }
   for (std::thread& t : writers) t.join();
-  (*session)->StopTailing();
+  done.store(true);
+  tailer.join();
   ASSERT_EQ(errors.load(), 0);
+  EXPECT_EQ(tick_errors.load(), 0);
+  EXPECT_TRUE(moved_mid_write.load());
 
   ASSERT_TRUE((*session)->CatchUp().ok());
   EXPECT_EQ((*session)->lag(), 0u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -156,6 +158,135 @@ TEST(HTableReplicaTest, StatsAggregateAcrossRegionSessions) {
   // The primary's table-level stats expose the replication counters too.
   const storage::DbStats db_stats = primary->AggregatedDbStats();
   EXPECT_GT(db_stats.last_sequence, 0u);
+}
+
+/// A Sync whose region bootstrap fails (every follower-disk mutation
+/// fails, so the checkpoint install does) leaves that region's session
+/// without a follower; the next Sync must rebuild it, and lag() must not
+/// read 0 meanwhile.
+TEST(HTableReplicaTest, SyncAfterAFailedBootstrapRebuildsTheRegion) {
+  storage::InMemoryEnv primary_disk;
+  auto primary = HTable::Open(&primary_disk, "/primary", JobsSchema()).value();
+  for (int i = 0; i < 10; ++i) {
+    PutRow(primary.get(), Numbered("row", i), "v");
+  }
+  storage::InMemoryEnv follower_disk;
+  storage::FaultInjectionEnv fault(&follower_disk);
+  auto replica = HTableReplica::Open(primary.get(), &fault, "/follower");
+  ASSERT_TRUE(replica.ok()) << replica.status();
+
+  // Flushing truncates the region's log past its follower, so the next
+  // Sync needs a checkpoint bootstrap.
+  for (int i = 10; i < 20; ++i) {
+    PutRow(primary.get(), Numbered("row", i), "v");
+  }
+  ASSERT_TRUE(primary->Flush().ok());
+  PutRow(primary.get(), "row-tail", "v");
+
+  fault.SetErrorProbability(1.0, 7);
+  EXPECT_FALSE((*replica)->Sync().ok());
+  EXPECT_GT((*replica)->lag(), 0u);
+  fault.ClearFaults();
+  ASSERT_TRUE((*replica)->Sync().ok());
+  EXPECT_EQ((*replica)->lag(), 0u);
+
+  HTableOptions read_only;
+  read_only.read_only = true;
+  auto standby =
+      HTable::Open(&fault, "/follower", JobsSchema(), read_only).value();
+  for (int i = 0; i < 20; ++i) {
+    ExpectRow(*standby, Numbered("row", i), "v", "standby");
+  }
+  ExpectRow(*standby, "row-tail", "v", "standby");
+}
+
+/// Follower env whose first CreateDir of each region directory makes the
+/// primary split once more, while armed: a session opening for a new
+/// region lands a split in the middle of every Sync round.
+class SplitOnRegionCreateEnv final : public storage::EnvWrapper {
+ public:
+  SplitOnRegionCreateEnv(storage::Env* target, HTable* primary)
+      : EnvWrapper(target), primary_(primary) {}
+
+  void ArmSplits(int n) { splits_left_ = n; }
+
+  /// Puts rows above every earlier row into the last region until it
+  /// splits.
+  void ForceSplit() {
+    const size_t regions = primary_->num_regions();
+    for (int i = 0; i < 1000 && primary_->num_regions() == regions; ++i) {
+      char row[16];
+      std::snprintf(row, sizeof(row), "row%05d", next_row_++);
+      PutRow(primary_, row, std::string(120, 'x'));
+    }
+    ASSERT_GT(primary_->num_regions(), regions) << "no split";
+  }
+
+  Status CreateDir(const std::string& path) override {
+    const bool first = created_.insert(path).second;
+    if (first && splits_left_ > 0 &&
+        path.find("/region_") != std::string::npos) {
+      --splits_left_;
+      ForceSplit();
+    }
+    return target()->CreateDir(path);
+  }
+
+  int rows_written() const { return next_row_; }
+
+ private:
+  HTable* primary_;
+  int splits_left_ = 0;
+  int next_row_ = 0;
+  std::set<std::string> created_;
+};
+
+TEST(HTableReplicaTest, SyncNeverShipsAMetaListingUnsyncedRegions) {
+  storage::InMemoryEnv primary_disk;
+  HTableOptions options;
+  options.region_split_bytes = 2048;
+  // Repeated-byte values compress to almost nothing; the splits need the
+  // bytes.
+  options.db_options.table_options.codec = storage::CodecType::kNone;
+  auto primary =
+      HTable::Open(&primary_disk, "/primary", JobsSchema(), options).value();
+  storage::InMemoryEnv follower_disk;
+  SplitOnRegionCreateEnv follower_env(&follower_disk, primary.get());
+  follower_env.ForceSplit();
+  auto replica =
+      HTableReplica::Open(primary.get(), &follower_env, "/follower");
+  ASSERT_TRUE(replica.ok()) << replica.status();
+  const std::string synced_meta =
+      follower_disk.ReadFile("/follower/TABLEMETA").value();
+
+  // A split before the Sync, then one more in each of its 4 rounds: the
+  // layout never settles, so the Sync must fail and keep the old meta
+  // rather than ship one listing the last split's unsynced region.
+  follower_env.ForceSplit();
+  follower_env.ArmSplits(4);
+  const Status storm = (*replica)->Sync();
+  EXPECT_FALSE(storm.ok());
+  EXPECT_EQ(follower_disk.ReadFile("/follower/TABLEMETA").value(),
+            synced_meta);
+
+  // The layout is still; the next Sync converges and ships every region.
+  ASSERT_TRUE((*replica)->Sync().ok());
+  EXPECT_EQ((*replica)->lag(), 0u);
+  EXPECT_EQ((*replica)->num_regions(), primary->num_regions());
+  HTableOptions read_only;
+  read_only.read_only = true;
+  auto standby =
+      HTable::Open(&follower_disk, "/follower", JobsSchema(), read_only)
+          .value();
+  EXPECT_EQ(standby->num_regions(), primary->num_regions());
+  auto primary_rows = primary->Scan(ScanSpec{}).value();
+  auto standby_rows = standby->Scan(ScanSpec{}).value();
+  EXPECT_EQ(primary_rows.size(),
+            static_cast<size_t>(follower_env.rows_written()));
+  ASSERT_EQ(standby_rows.size(), primary_rows.size());
+  for (size_t i = 0; i < primary_rows.size(); ++i) {
+    EXPECT_EQ(standby_rows[i].row(), primary_rows[i].row()) << i;
+  }
 }
 
 }  // namespace

@@ -26,6 +26,15 @@ class HTableTest : public ::testing::Test {
     return std::move(table).value();
   }
 
+  /// Opens the table over a hand-written TABLEMETA whose schema lines
+  /// match ProfileSchema(), followed by `body`.
+  Status OpenWithMeta(const std::string& body) {
+    std::string meta = "pstorm-htable-v1\nname Jobs\nfamily Features\n";
+    meta += body;
+    EXPECT_TRUE(env_.WriteFile("/tables/jobs/TABLEMETA", meta).ok());
+    return HTable::Open(&env_, "/tables/jobs", ProfileSchema()).status();
+  }
+
   storage::InMemoryEnv env_;
 };
 
@@ -438,6 +447,42 @@ TEST_F(HTableTest, HealthyReopenReportsNoRecoveredRegions) {
   ScanStats stats;
   ASSERT_TRUE(table->Scan(ScanSpec{}, &stats).ok());
   EXPECT_EQ(stats.regions_recovered_empty, 0u);
+}
+
+// TABLEMETA is the file a standby receives from its primary, so a reopen
+// validates it before opening any region. Start key "6d" is "m".
+
+TEST_F(HTableTest, TableMetaRejectsMalformedNumbers) {
+  EXPECT_TRUE(OpenWithMeta("clock 3\nnext_region 2\nregion 0 \nregion 1 6d\n")
+                  .ok());
+  for (const char* body : {
+           "clock x\nnext_region 1\nregion 0 \n",
+           "clock 3\nnext_region zz\nregion 0 \n",
+           "clock 3\nnext_region 1x\nregion 0 \n",
+           "clock 3\nnext_region 18446744073709551616\nregion 0 \n",
+           "clock 3\nnext_region 1\nregion -0 \n",
+           "clock 3\nnext_region 1\nregion  \n",
+       }) {
+    EXPECT_TRUE(OpenWithMeta(body).IsCorruption()) << body;
+  }
+}
+
+TEST_F(HTableTest, TableMetaRejectsDuplicateRegionIdsAndStartKeys) {
+  EXPECT_TRUE(
+      OpenWithMeta("next_region 2\nregion 0 \nregion 0 6d\n").IsCorruption());
+  EXPECT_TRUE(
+      OpenWithMeta("next_region 2\nregion 0 \nregion 1 \n").IsCorruption());
+}
+
+TEST_F(HTableTest, TableMetaRejectsARegionListNotStartingAtEmptyKey) {
+  // Served, this meta would abort the first Get of a row below "m".
+  EXPECT_TRUE(OpenWithMeta("next_region 1\nregion 0 6d\n").IsCorruption());
+}
+
+TEST_F(HTableTest, TableMetaRejectsNextRegionNotAboveEveryId) {
+  EXPECT_TRUE(
+      OpenWithMeta("next_region 1\nregion 0 \nregion 1 6d\n").IsCorruption());
+  EXPECT_TRUE(OpenWithMeta("region 0 \n").IsCorruption());
 }
 
 }  // namespace

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -51,7 +49,7 @@ TEST(ReplicationTest, ShipsWalRecordsToFollower) {
   ASSERT_TRUE(primary->Delete("a").ok());
 
   WalApplier applier(follower.get());
-  WalShipper shipper(primary.get(), &applier, ReplicationOptions{});
+  WalShipper shipper(primary.get(), &applier);
   auto outcome = shipper.ShipOnce();
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_EQ(outcome->shipped_records, 3u);
@@ -83,7 +81,7 @@ TEST(ReplicationTest, FollowerLogMatchesPrimaryLogByteForByte) {
     ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
   }
   WalApplier applier(follower.get());
-  WalShipper shipper(primary.get(), &applier, ReplicationOptions{});
+  WalShipper shipper(primary.get(), &applier);
   ASSERT_TRUE(shipper.ShipOnce().ok());
   // Replication appends the shipped frames verbatim, so the two logs are
   // byte-identical — the property that keeps checksums comparable
@@ -98,23 +96,23 @@ TEST(ReplicationTest, MaxBatchRecordsBoundsEachRound) {
   DbOptions replica;
   replica.read_only_replica = true;
   auto follower = Db::Open(&env, "/follower", replica).value();
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
-  }
-  ReplicationOptions options;
-  options.max_batch_records = 3;
+  // One batch, so the 1,030 records cost one log append, not 1,030.
+  WriteBatch batch;
+  for (int i = 0; i < 1030; ++i) batch.Put(Numbered("k", i), "v");
+  ASSERT_TRUE(primary->Write(batch).ok());
   WalApplier applier(follower.get());
-  WalShipper shipper(primary.get(), &applier, options);
+  WalShipper shipper(primary.get(), &applier);
+  // A round moves at most 1,024 records.
   auto outcome = shipper.ShipOnce();
   ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome->shipped_records, 3u);
-  EXPECT_EQ(outcome->lag, 7u);
+  EXPECT_EQ(outcome->shipped_records, 1024u);
+  EXPECT_EQ(outcome->lag, 6u);
   // CatchUp drains the rest in bounded rounds.
   outcome = shipper.CatchUp();
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->lag, 0u);
   ExpectConverged(primary.get(), follower.get(), "after CatchUp");
-  EXPECT_GE(shipper.shipped_batches(), 4u);
+  EXPECT_EQ(shipper.shipped_batches(), 2u);
 }
 
 TEST(ReplicationTest, FlushedAwayRecordsDemandCheckpoint) {
@@ -127,7 +125,7 @@ TEST(ReplicationTest, FlushedAwayRecordsDemandCheckpoint) {
   replica.read_only_replica = true;
   auto follower = Db::Open(&env, "/follower", replica).value();
   WalApplier applier(follower.get());
-  WalShipper shipper(primary.get(), &applier, ReplicationOptions{});
+  WalShipper shipper(primary.get(), &applier);
   auto outcome = shipper.ShipOnce();
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome->need_checkpoint);
@@ -227,11 +225,8 @@ TEST(ReplicationTest, TransientFetchErrorsAreRetriedWithBackoff) {
   auto follower = Db::Open(&base, "/follower", replica).value();
   ASSERT_TRUE(primary->Put("a", "1").ok());
 
-  ReplicationOptions options;
-  options.max_retries = 5;
-  options.retry_backoff_micros = 1;  // Keep the test fast.
   WalApplier applier(follower.get());
-  WalShipper shipper(primary.get(), &applier, options);
+  WalShipper shipper(primary.get(), &applier);
 
   flaky.FailNextReads(2);  // First fetch attempt dies; the blip heals.
   auto outcome = shipper.ShipOnce();
@@ -240,77 +235,16 @@ TEST(ReplicationTest, TransientFetchErrorsAreRetriedWithBackoff) {
   EXPECT_GE(shipper.retries(), 1u);
   ExpectConverged(primary.get(), follower.get(), "after healed blip");
 
-  // A blip outlasting the retry budget surfaces as the IoError itself.
+  // A blip outlasting the retry budget (5 retries, backing off from
+  // 200 us) surfaces as the IoError itself.
   ASSERT_TRUE(primary->Put("b", "2").ok());
   flaky.FailNextReads(1000);
+  const uint64_t retries_before = shipper.retries();
   EXPECT_TRUE(shipper.ShipOnce().status().IsIoError());
+  EXPECT_EQ(shipper.retries() - retries_before, 5u);
   flaky.FailNextReads(0);
   ASSERT_TRUE(shipper.ShipOnce().ok());
   ExpectConverged(primary.get(), follower.get(), "after budget exhausted");
-}
-
-TEST(ReplicationTest, RequestStopInterruptsRetryBackoffPromptly) {
-  InMemoryEnv base;
-  FlakyReadEnv flaky(&base);
-  auto primary = Db::Open(&flaky, "/primary").value();
-  DbOptions replica;
-  replica.read_only_replica = true;
-  auto follower = Db::Open(&base, "/follower", replica).value();
-  ASSERT_TRUE(primary->Put("a", "1").ok());
-
-  // A backoff window teardown could never afford to ride out: without the
-  // interruptible wait this test would take minutes.
-  ReplicationOptions options;
-  options.max_retries = 1000;
-  options.retry_backoff_micros = 60 * 1000 * 1000;
-  options.retry_backoff_max_micros = 60 * 1000 * 1000;
-  WalApplier applier(follower.get());
-  WalShipper shipper(primary.get(), &applier, options);
-
-  flaky.FailNextReads(1 << 30);  // Every fetch fails; only retries remain.
-  std::thread ship([&] {
-    const auto outcome = shipper.ShipOnce();
-    EXPECT_TRUE(outcome.status().IsIoError()) << outcome.status();
-  });
-  // Wait until the shipper is inside a backoff sleep (first retry counted).
-  while (shipper.retries() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const auto stop_start = std::chrono::steady_clock::now();
-  shipper.RequestStop();
-  ship.join();
-  const auto stop_elapsed = std::chrono::steady_clock::now() - stop_start;
-  // The contract is "milliseconds, not the backoff window": one cv wakeup
-  // plus scheduling. The bound is generous for sanitizer builds while
-  // still 4 orders of magnitude under the 60s backoff it interrupts.
-  EXPECT_LT(stop_elapsed, std::chrono::seconds(5));
-}
-
-TEST(ReplicationTest, StopTailingInterruptsPollSleepPromptly) {
-  InMemoryEnv env;
-  auto primary = Db::Open(&env, "/primary").value();
-  ASSERT_TRUE(primary->Put("a", "1").ok());
-  auto session =
-      ReplicaSession::Open(primary.get(), &env, "/follower").value();
-
-  // A poll interval no test could wait out: StopTailing must interrupt the
-  // sleep between ticks, not wait for the next wakeup.
-  session->StartTailing(60 * 1000 * 1000);
-  // Give the tail thread a moment to finish its first tick and enter the
-  // poll sleep (the interesting state to interrupt).
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  const auto stop_start = std::chrono::steady_clock::now();
-  session->StopTailing();
-  const auto stop_elapsed = std::chrono::steady_clock::now() - stop_start;
-  EXPECT_LT(stop_elapsed, std::chrono::seconds(5));
-
-  // The session stays usable after a stop: tailing can restart (the stop
-  // latch re-arms) and still converges.
-  ASSERT_TRUE(primary->Put("b", "2").ok());
-  session->StartTailing(100);
-  ASSERT_TRUE(session->CatchUp().ok());
-  session->StopTailing();
-  ExpectConverged(primary.get(), session->replica(), "after restart");
 }
 
 // ------------------------------------------------------- epoch fencing
@@ -354,7 +288,7 @@ TEST(ReplicationTest, DeposedPrimaryIsFencedByPromotedFollower) {
   auto follower = Db::Open(&env, "/follower", replica).value();
   ASSERT_TRUE(primary->Put("a", "1").ok());
   WalApplier applier(follower.get());
-  WalShipper shipper(primary.get(), &applier, ReplicationOptions{});
+  WalShipper shipper(primary.get(), &applier);
   ASSERT_TRUE(shipper.ShipOnce().ok());
 
   ASSERT_TRUE(follower->PromoteToPrimary().ok());
@@ -459,46 +393,53 @@ TEST(ReplicationTest, SessionResumesFromRecoveredFollowerState) {
   ExpectConverged(primary.get(), (*session)->replica(), "resumed session");
 }
 
-// ---------------------------------------------------------- session modes
+// ------------------------------------------------------- session rounds
 
-TEST(ReplicationTest, AsyncTailingFollowsOngoingWrites) {
-  InMemoryEnv env;
-  auto primary = Db::Open(&env, "/primary").value();
-  auto session = ReplicaSession::Open(primary.get(), &env, "/follower");
-  ASSERT_TRUE(session.ok());
-  (*session)->StartTailing(100);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
-  }
-  (*session)->StopTailing();
+/// A bootstrap that fails after closing the old follower (here: every
+/// follower-disk mutation fails, so the checkpoint install does) leaves the
+/// session without a follower. The next round of either kind must rebuild
+/// it rather than ship through a missing one, and lag() must not claim the
+/// standby is current meanwhile.
+TEST(ReplicationTest, FailedBootstrapIsRebuiltByTheNextRound) {
+  InMemoryEnv primary_disk;
+  auto primary = Db::Open(&primary_disk, "/primary").value();
+  ASSERT_TRUE(primary->Put("a", "1").ok());
+  InMemoryEnv follower_disk;
+  FaultInjectionEnv fault(&follower_disk);
+  auto session = ReplicaSession::Open(primary.get(), &fault, "/follower");
+  ASSERT_TRUE(session.ok()) << session.status();
+  ASSERT_TRUE((*session)->CatchUp().ok());
+
+  // Flushing truncates the primary's log past the follower, so each of the
+  // rounds below needs a checkpoint bootstrap.
+  auto flush_past_follower = [&](const std::string& key) {
+    ASSERT_TRUE(primary->Put(key, "v").ok());
+    ASSERT_TRUE(primary->Flush().ok());
+    ASSERT_TRUE(primary->Put(key + "-tail", "v").ok());
+  };
+
+  flush_past_follower("b");
+  fault.SetErrorProbability(1.0, 7);
+  EXPECT_TRUE((*session)->CatchUp().IsIoError());
+  EXPECT_EQ((*session)->replica(), nullptr);
+  EXPECT_EQ((*session)->lag(), primary->last_sequence());
+  // A promote must not rebuild it from a primary that may be dead.
+  EXPECT_EQ((*session)->Promote().status().code(),
+            StatusCode::kFailedPrecondition);
+  fault.ClearFaults();
+  ASSERT_TRUE((*session)->TickOnce().ok());
+  EXPECT_EQ((*session)->lag(), 0u);
+  ExpectConverged(primary.get(), (*session)->replica(), "after TickOnce");
+
+  flush_past_follower("c");
+  fault.SetErrorProbability(1.0, 7);
+  EXPECT_TRUE((*session)->TickOnce().IsIoError());
+  EXPECT_GT((*session)->lag(), 0u);
+  fault.ClearFaults();
   ASSERT_TRUE((*session)->CatchUp().ok());
   EXPECT_EQ((*session)->lag(), 0u);
-  ExpectConverged(primary.get(), (*session)->replica(), "after tailing");
-  EXPECT_TRUE((*session)->last_tail_error().ok());
-}
-
-TEST(ReplicationTest, SyncCommitShipsBeforeAck) {
-  InMemoryEnv env;
-  auto primary = Db::Open(&env, "/primary").value();
-  ReplicaSession::Options options;
-  options.replication.mode = ReplicationMode::kSync;
-  auto session =
-      ReplicaSession::Open(primary.get(), &env, "/follower", options);
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE((*session)->EnableSyncCommit().ok());
-  for (int i = 0; i < 25; ++i) {
-    ASSERT_TRUE(primary->Put(Numbered("k", i), "v").ok());
-    // Ack-before-commit: the moment the writer is acked, the follower
-    // already holds the record.
-    EXPECT_EQ((*session)->replica()->Get(Numbered("k", i)).value(), "v") << i;
-  }
-  ExpectConverged(primary.get(), (*session)->replica(), "sync mode");
-  ASSERT_TRUE((*session)->DisableSyncCommit().ok());
-  // After disabling, writes flow only via explicit ticks again.
-  ASSERT_TRUE(primary->Put("late", "v").ok());
-  EXPECT_TRUE((*session)->replica()->Get("late").status().IsNotFound());
-  ASSERT_TRUE((*session)->CatchUp().ok());
-  EXPECT_EQ((*session)->replica()->Get("late").value(), "v");
+  ExpectConverged(primary.get(), (*session)->replica(), "after CatchUp");
+  EXPECT_EQ((*session)->stats().checkpoint_ships, 2u);
 }
 
 TEST(ReplicationTest, PromoteReleasesWritableFollower) {
